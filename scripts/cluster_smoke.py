@@ -47,7 +47,7 @@ from repro.obs import parse_prometheus_text
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig
-from repro.service.routing import HashRing
+from repro.service.routing import HashRing, wait_until_serving
 from repro.service.stream import DaemonClient, evaluate_request, solve_request
 
 #: Must match the portfolio the CI job starts the cluster with
@@ -68,11 +68,10 @@ REQUIRED_SERIES = (
 
 
 def wait_for_socket(path: str, timeout: float = 90.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not os.path.exists(path):
-        if time.monotonic() > deadline:
-            raise SystemExit(f"socket {path} never appeared")
-        time.sleep(0.1)
+    try:
+        wait_until_serving(path, timeout)
+    except TimeoutError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _scrub(value):

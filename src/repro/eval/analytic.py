@@ -15,13 +15,10 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.eval.cost import Cost, register_cost_model
+from repro.ir.facts import identity_direction, program_facts
 from repro.ir.program import Program
 from repro.layout.layout import Layout
-from repro.layout.locality import (
-    access_delta,
-    has_spatial_locality,
-    has_temporal_locality,
-)
+from repro.layout.locality import has_spatial_locality, has_temporal_locality
 from repro.transform.unimodular_loop import LoopTransform
 
 
@@ -48,6 +45,7 @@ class AnalyticCostModel:
         transforms: Mapping[str, LoopTransform] | None = None,
     ) -> Cost:
         transforms = transforms or {}
+        facts = program_facts(program)
         total = 0.0
         classes = {"temporal": 0, "spatial": 0, "none": 0}
         for nest in program.nests:
@@ -55,18 +53,16 @@ class AnalyticCostModel:
             if transform is not None:
                 direction = transform.innermost_direction()
             else:
-                direction = tuple([0] * (nest.depth - 1) + [1])
-            order = nest.index_order
+                direction = identity_direction(nest.depth)
             iterations = nest.weight * nest.trip_count
-            for reference in nest.body:
+            for reference, delta in zip(nest.body, facts.deltas(nest, direction)):
                 layout = layouts.get(reference.array)
-                delta = access_delta(reference, order, direction)
                 if has_temporal_locality(delta):
                     classes["temporal"] += 1
                     continue
                 if layout is not None and has_spatial_locality(layout, delta):
                     classes["spatial"] += 1
-                    element_size = program.array(reference.array).element_size
+                    element_size = facts.decls[reference.array].element_size
                     total += iterations * element_size / self._line_size
                 else:
                     classes["none"] += 1

@@ -14,6 +14,9 @@ subscript functions ``F(I) = A I + b``.  This subpackage provides:
 * :mod:`repro.ir.dependence` -- data-dependence analysis used to check
   legality of candidate loop transformations.
 * :mod:`repro.ir.validate` -- semantic well-formedness checks.
+* :mod:`repro.ir.facts` -- the per-program index of layout-independent
+  facts (access matrices, deltas, array -> nest map) the optimizer
+  reads instead of recomputing them.
 """
 
 from repro.ir.expr import AffineExpr
@@ -27,7 +30,8 @@ from repro.ir.dependence import (
     Dependence,
     analyze_nest_dependences,
 )
-from repro.ir.validate import validate_program, ValidationError
+from repro.ir.facts import ProgramFacts, program_facts
+from repro.ir.validate import validate_program, validate_structure, ValidationError
 
 __all__ = [
     "AffineExpr",
@@ -42,6 +46,9 @@ __all__ = [
     "DependenceInfo",
     "Dependence",
     "analyze_nest_dependences",
+    "ProgramFacts",
+    "program_facts",
     "validate_program",
+    "validate_structure",
     "ValidationError",
 ]

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
+from repro.ir.facts import Matrix, access_matrices
 from repro.ir.loops import LoopNest
 from repro.ir.reference import ArrayRef
 from repro.linalg.matrices import rank as matrix_rank
@@ -98,11 +100,17 @@ class DependenceInfo:
         return tuple(seen)
 
 
+@lru_cache(maxsize=4096)
 def _solve_uniform_distance(
-    matrix: Sequence[Sequence[int]],
-    rhs: Sequence[int],
+    matrix: Matrix,
+    rhs: tuple[int, ...],
 ) -> tuple[str, tuple[int, ...] | None]:
     """Solve ``A x = rhs`` for a unique integer ``x``.
+
+    Cached: the answer is a pure function of two small integer tuples,
+    and the exact rational elimination behind it is the bulk of a
+    nest's dependence analysis, while a served mix repeats a handful of
+    (matrix, offset) pairs across all its nests.
 
     Returns:
         ("none", None)     -- provably no integer solution;
@@ -185,7 +193,7 @@ def analyze_nest_dependences(nest: LoopNest) -> DependenceInfo:
     to the later one); loop-independent (zero) distances are kept so
     callers can distinguish them from "no dependence".
     """
-    order = nest.index_order
+    matrices = access_matrices(nest)
     dependences: list[Dependence] = []
     body = nest.body
     for i, first in enumerate(body):
@@ -197,7 +205,7 @@ def analyze_nest_dependences(nest: LoopNest) -> DependenceInfo:
                 continue
             if i == j and not first.is_write:
                 continue
-            dep = _pair_dependence(first, second, i, j, order)
+            dep = _pair_dependence(first, second, i, j, matrices[i], matrices[j])
             if dep is not None:
                 dependences.append(dep)
     return DependenceInfo(nest.name, tuple(dependences))
@@ -208,11 +216,14 @@ def _pair_dependence(
     second: ArrayRef,
     first_index: int,
     second_index: int,
-    order: Sequence[str],
+    matrix_a: Matrix,
+    matrix_b: Matrix,
 ) -> Dependence | None:
-    """Dependence between one pair of same-array references, or None."""
-    matrix_a = first.access_matrix(order)
-    matrix_b = second.access_matrix(order)
+    """Dependence between one pair of same-array references, or None.
+
+    ``matrix_a`` and ``matrix_b`` are the pair's access matrices under
+    the nest's loop order.
+    """
     if matrix_a != matrix_b:
         # Non-uniform pair: fall back to a cheap GCD-style disproof on
         # the difference system; otherwise record an unknown dependence.

@@ -9,41 +9,58 @@ class ValidationError(ValueError):
     """Raised when a program violates a semantic well-formedness rule."""
 
 
-def validate_program(program: Program) -> None:
-    """Check semantic well-formedness; raise ValidationError otherwise.
+def validate_structure(program: Program) -> None:
+    """Check the structural rules; raise ValidationError otherwise.
 
     Rules enforced:
 
     * every referenced array is declared;
     * reference rank matches the declared rank;
-    * subscripts use only the indices of the enclosing nest;
-    * every subscript stays within the declared extents over the whole
-      iteration space (checked exactly via interval arithmetic).
+    * subscripts use only the indices of the enclosing nest.
+
+    These are the rules every consumer relies on; a program breaking
+    one cannot be optimized at all.
     """
-    declared = {decl.name: decl for decl in program.arrays}
+    ranks = {decl.name: decl.rank for decl in program.arrays}
     for nest in program.nests:
         index_set = set(nest.index_order)
-        box = dict(zip(nest.index_order, nest.iteration_box()))
         for reference in nest.body:
-            decl = declared.get(reference.array)
-            if decl is None:
+            rank = ranks.get(reference.array)
+            if rank is None:
                 raise ValidationError(
                     f"nest {nest.name}: reference to undeclared array "
                     f"{reference.array}"
                 )
-            if reference.rank != decl.rank:
+            if len(reference.subscripts) != rank:
                 raise ValidationError(
                     f"nest {nest.name}: {reference.array} is "
-                    f"{decl.rank}-dimensional but referenced with "
+                    f"{rank}-dimensional but referenced with "
                     f"{reference.rank} subscripts"
                 )
+            for subscript in reference.subscripts:
+                for name, _ in subscript.coeffs:
+                    if name not in index_set:
+                        stray = sorted(set(subscript.variables()) - index_set)
+                        raise ValidationError(
+                            f"nest {nest.name}: subscript of {reference.array} "
+                            f"uses unknown variables {stray}"
+                        )
+
+
+def validate_program(program: Program) -> None:
+    """Check semantic well-formedness; raise ValidationError otherwise.
+
+    On top of :func:`validate_structure`, every subscript must stay
+    within the declared extents over the whole iteration space (checked
+    exactly via interval arithmetic).
+    """
+    validate_structure(program)
+    declared = {decl.name: decl for decl in program.arrays}
+    for nest in program.nests:
+        box = dict(zip(nest.index_order, nest.iteration_box()))
+        for reference in nest.body:
+            decl = declared[reference.array]
             for dim, subscript in enumerate(reference.subscripts):
-                stray = set(subscript.variables()) - index_set
-                if stray:
-                    raise ValidationError(
-                        f"nest {nest.name}: subscript of {reference.array} "
-                        f"uses unknown variables {sorted(stray)}"
-                    )
                 low, high = _subscript_range(subscript, box)
                 if low < 0 or high >= decl.extents[dim]:
                     raise ValidationError(

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ir.facts import ProgramFacts, program_facts
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 from repro.layout.layout import Layout, standard_layouts
-from repro.layout.locality import access_delta, layout_for_deltas
+# access_delta stays a public name of this module for existing importers.
+from repro.layout.locality import access_delta, layout_for_deltas  # noqa: F401
 from repro.transform.catalog import legal_transforms
 from repro.transform.unimodular_loop import LoopTransform
 
@@ -46,19 +48,16 @@ class LayoutCombo:
 
 
 def _combo_for_transform(
-    program: Program, nest: LoopNest, transform: LoopTransform
+    facts: ProgramFacts, nest: LoopNest, transform: LoopTransform
 ) -> LayoutCombo:
     """Preferred layouts of every array in the nest under one transform."""
-    direction = transform.innermost_direction()
-    order = nest.index_order
+    deltas = facts.deltas(nest, transform.innermost_direction())
     assignments: list[tuple[str, Layout]] = []
-    for array_name in sorted(nest.arrays()):
-        decl = program.array(array_name)
-        deltas = [
-            access_delta(reference, order, direction)
-            for reference in nest.references_to(array_name)
-        ]
-        layout = layout_for_deltas(deltas, decl.rank)
+    for array_name, positions in facts.groups[nest.name]:
+        layout = layout_for_deltas(
+            [deltas[position] for position in positions],
+            facts.decls[array_name].rank,
+        )
         if layout is not None:
             assignments.append((array_name, layout))
     return LayoutCombo(nest.name, transform.name, tuple(assignments))
@@ -88,10 +87,11 @@ def nest_layout_combos(
     key = (nest.name, include_reversals, tuple(skew_factors))
     combos = cache.get(key)
     if combos is None:
+        facts = program_facts(program)
         combos = []
         seen: set[tuple[tuple[str, Layout], ...]] = set()
         for transform in legal_transforms(nest, include_reversals, skew_factors):
-            combo = _combo_for_transform(program, nest, transform)
+            combo = _combo_for_transform(facts, nest, transform)
             if not combo.assignments:
                 continue
             if combo.assignments in seen:
@@ -120,14 +120,15 @@ def candidate_layouts_for_array(
     The result is deterministic: locality-derived layouts in nest order
     first, then any standard layouts not already present.
     """
-    decl = program.array(array)
+    facts = program_facts(program)
+    decl = facts.decls[array]
     domain: list[Layout] = []
 
     def push(layout: Layout) -> None:
         if layout not in domain:
             domain.append(layout)
 
-    for nest in program.nests_referencing(array):
+    for nest in facts.nests_referencing(array):
         for combo in nest_layout_combos(
             program, nest, include_reversals, skew_factors
         ):

@@ -11,6 +11,7 @@ layout, the empty tuple of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.layout.hyperplane import Hyperplane
@@ -122,12 +123,15 @@ def antidiagonal() -> Layout:
     return Layout(2, [(1, 1)])
 
 
+@lru_cache(maxsize=32)
 def standard_layouts(dimension: int) -> tuple[Layout, ...]:
     """The conventional candidates for an array rank.
 
     2-D arrays get the four layouts of Figure 1; higher ranks get
     row-major and column-major (richer candidates come from the
-    locality analysis in :mod:`repro.layout.candidates`).
+    locality analysis in :mod:`repro.layout.candidates`).  Cached per
+    rank: every array's domain derivation asks, and building a layout
+    validates its rows with exact linear algebra.
     """
     if dimension == 1:
         return (Layout(1, []),)

@@ -20,15 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.ir.facts import identity_direction, program_facts
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 from repro.layout.candidates import candidate_layouts_for_array
 from repro.layout.layout import Layout
-from repro.layout.locality import (
-    access_delta,
-    has_spatial_locality,
-    has_temporal_locality,
-)
+from repro.layout.locality import has_spatial_locality, has_temporal_locality
 
 #: Relative cost of an access with / without spatial locality.  The
 #: ratio approximates a line-reuse hit (1 miss per line of 8 elements)
@@ -87,11 +84,11 @@ class DynamicLayoutPlanner:
         self, program: Program, nest: LoopNest, array: str, layout: Layout
     ) -> float:
         """Analytic cost of one nest's accesses to one array under a layout."""
-        order = nest.index_order
-        direction = tuple([0] * (nest.depth - 1) + [1])
+        deltas = program_facts(program).deltas(nest, identity_direction(nest.depth))
         total = 0.0
-        for reference in nest.references_to(array):
-            delta = access_delta(reference, order, direction)
+        for reference, delta in zip(nest.body, deltas):
+            if reference.array != array:
+                continue
             if has_temporal_locality(delta) or has_spatial_locality(layout, delta):
                 per_access = _LOCAL_ACCESS_COST
             else:
@@ -105,11 +102,12 @@ class DynamicLayoutPlanner:
         Raises:
             ValueError: if no nest references the array.
         """
-        nests = program.nests_referencing(array)
+        facts = program_facts(program)
+        nests = facts.nests_referencing(array)
         if not nests:
             raise ValueError(f"array {array} is referenced by no nest")
         candidates = candidate_layouts_for_array(program, array)
-        decl = program.array(array)
+        decl = facts.decls[array]
         change_cost = self._redistribution * decl.element_count
 
         # stage_costs[s][l]: access cost of nest s under candidate l.

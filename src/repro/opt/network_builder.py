@@ -29,6 +29,7 @@ from typing import Mapping
 from repro.csp.compiled import CompiledNetwork, compile_network
 from repro.csp.network import ConstraintNetwork
 from repro.csp.weighted import WeightedNetwork
+from repro.ir.facts import program_facts
 from repro.ir.program import Program
 from repro.layout.candidates import (
     LayoutCombo,
@@ -36,6 +37,7 @@ from repro.layout.candidates import (
     nest_layout_combos,
 )
 from repro.layout.layout import Layout
+from repro.obs import trace as obs_trace
 
 
 @dataclass(frozen=True)
@@ -109,17 +111,33 @@ def build_layout_network(
     if not arrays:
         raise ValueError(f"program {program.name} references no arrays")
 
-    network = ConstraintNetwork()
-    for array in arrays:
-        domain = candidate_layouts_for_array(
-            program,
-            array,
-            include_standard=options.include_standard,
-            include_reversals=options.include_reversals,
-            skew_factors=options.skew_factors,
-        )
-        network.add_variable(array, domain)
+    with obs_trace.span("facts"):
+        program_facts(program)
+    with obs_trace.span("candidates"):
+        network = ConstraintNetwork()
+        for array in arrays:
+            domain = candidate_layouts_for_array(
+                program,
+                array,
+                include_standard=options.include_standard,
+                include_reversals=options.include_reversals,
+                skew_factors=options.skew_factors,
+            )
+            network.add_variable(array, domain)
+    with obs_trace.span("constraints"):
+        combos_by_nest, weights, notes = _add_constraints(network, program, options)
+    return LayoutNetwork(
+        network, weights, combos_by_nest, notes, compiled=compile_network(network)
+    )
 
+
+def _add_constraints(
+    network: ConstraintNetwork, program: Program, options: BuildOptions
+) -> tuple[dict[str, list[LayoutCombo]], dict[frozenset[str], float], list[str]]:
+    """Add every nest's pairwise constraints to a network of domains.
+
+    Returns the per-nest combos, the per-pair weights and the notes.
+    """
     combos_by_nest: dict[str, list[LayoutCombo]] = {}
     pair_sources: dict[frozenset[str], list[set[tuple[Layout, Layout]]]] = {}
     pair_orientation: dict[frozenset[str], tuple[str, str]] = {}
@@ -193,6 +211,4 @@ def build_layout_network(
             merged = set.union(*source_sets)
         network.add_constraint(first, second, merged)
 
-    return LayoutNetwork(
-        network, weights, combos_by_nest, notes, compiled=compile_network(network)
-    )
+    return combos_by_nest, weights, notes

@@ -14,13 +14,11 @@ from repro.csp.forward_checking import ForwardCheckingSolver
 from repro.csp.minconflicts import MinConflictsSolver
 from repro.csp.splitsearch import SplitSearchSolver
 from repro.csp.weighted import BranchAndBoundSolver
+from repro.ir.facts import program_facts
 from repro.ir.program import Program
 from repro.layout.layout import Layout, row_major
-from repro.layout.locality import (
-    access_delta,
-    has_spatial_locality,
-    has_temporal_locality,
-)
+# access_delta stays a public name of this module for existing importers.
+from repro.layout.locality import access_delta, has_spatial_locality  # noqa: F401
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.opt.network_builder import build_layout_network
@@ -160,27 +158,25 @@ def repair_inflation(network, assignment: dict, program: Program) -> None:
     2. more references with locality under the original loop order,
 
     whenever the swap keeps the assignment a solution -- it never
-    leaves the solution set, so exactness is preserved.
+    leaves the solution set, so exactness is preserved.  The locality
+    terms come from the program's facts index, so each reference's
+    delta is computed once, not once per candidate layout.
     """
     from repro.layout.mapping import LayoutMapping
 
+    facts = program_facts(program)
     objective_cache: dict[tuple[str, Layout], tuple[float, int]] = {}
 
     def objective(array: str, layout: Layout) -> tuple[float, int]:
         cached = objective_cache.get((array, layout))
         if cached is not None:
             return cached
-        inflation = LayoutMapping.create(program.array(array), layout).inflation
-        locality = 0
-        for nest in program.nests_referencing(array):
-            direction = tuple([0] * (nest.depth - 1) + [1])
-            order = nest.index_order
-            for reference in nest.references_to(array):
-                delta = access_delta(reference, order, direction)
-                if has_temporal_locality(delta) or has_spatial_locality(
-                    layout, delta
-                ):
-                    locality += nest.weight
+        inflation = LayoutMapping.create(facts.decls[array], layout).inflation
+        locality = sum(
+            weight
+            for weight, delta, temporal in facts.locality_rows(array)
+            if temporal or has_spatial_locality(layout, delta)
+        )
         score = (inflation, -locality)
         objective_cache[(array, layout)] = score
         return score

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro.ir.facts import program_facts
 from repro.ir.program import Program
 from repro.layout.layout import Layout
-from repro.layout.locality import (
-    access_delta,
-    has_spatial_locality,
-    has_temporal_locality,
-)
+from repro.layout.locality import has_spatial_locality, has_temporal_locality
 from repro.obs import trace as obs_trace
 from repro.opt.passes.base import PipelineContext
 from repro.transform.catalog import legal_transforms
@@ -77,21 +74,20 @@ def _select_transforms(
     include_reversals: bool,
     skew_factors: tuple[int, ...],
 ) -> dict[str, LoopTransform]:
+    facts = program_facts(program)
     chosen: dict[str, LoopTransform] = {}
     for nest in program.nests:
-        order = nest.index_order
         best: LoopTransform | None = None
         best_score = -1
         for transform in legal_transforms(
             nest, include_reversals, skew_factors
         ):
-            direction = transform.innermost_direction()
+            deltas = facts.deltas(nest, transform.innermost_direction())
             score = 0
-            for reference in nest.body:
+            for reference, delta in zip(nest.body, deltas):
                 layout = layouts.get(reference.array)
                 if layout is None:
                     continue
-                delta = access_delta(reference, order, direction)
                 if has_temporal_locality(delta):
                     score += 7
                 elif has_spatial_locality(layout, delta):

@@ -62,6 +62,7 @@ from repro.service.routing import (
     open_address,
     parse_address,
     reclaim_stale_socket,
+    wait_until_serving,
 )
 from repro.service.stream import ProtocolError
 
@@ -765,20 +766,9 @@ def spawn_member(
 
 def wait_for_members(addresses, timeout: float = 30.0) -> None:
     """Block until every member address accepts connections."""
-    from repro.service.routing import connect_address
-
     deadline = time.monotonic() + timeout
     for address in addresses:
-        while True:
-            try:
-                connect_address(address, timeout=1.0).close()
-                break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"member {address} did not come up in {timeout}s"
-                    ) from None
-                time.sleep(0.05)
+        wait_until_serving(address, max(0.0, deadline - time.monotonic()))
 
 
 def serve_cluster(

@@ -37,6 +37,7 @@ import hashlib
 import os
 import socket
 import stat
+import time
 from bisect import bisect_right
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "open_address",
     "parse_address",
     "reclaim_stale_socket",
+    "wait_until_serving",
 ]
 
 #: Ring points per member.  High enough that each member's share of a
@@ -199,6 +201,29 @@ def connect_address(address: str, timeout: float | None = None) -> socket.socket
     sock = socket.create_connection((parsed[1], parsed[2]), timeout=timeout)
     sock.settimeout(timeout)
     return sock
+
+
+def wait_until_serving(address: str, timeout: float = 30.0) -> None:
+    """Block until ``address`` accepts a connection.
+
+    A unix socket file appears at ``bind()``, before ``listen()``, so
+    the file existing does not mean the server is up; a connection that
+    succeeds does.
+
+    Raises:
+        TimeoutError: if no connection succeeds within ``timeout``.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            connect_address(address, timeout=1.0).close()
+            return
+        except OSError:
+            if time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"{address} did not come up in {timeout}s"
+                ) from None
+            time.sleep(0.05)
 
 
 async def open_address(address: str):

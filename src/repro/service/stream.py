@@ -53,6 +53,7 @@ from repro.ir.expr import AffineExpr
 from repro.ir.loops import Loop, LoopNest
 from repro.ir.program import Program
 from repro.ir.reference import AccessKind, ArrayRef
+from repro.ir.validate import validate_structure
 from repro.layout.layout import Layout
 
 
@@ -106,6 +107,11 @@ def program_to_wire(program: Program) -> dict:
 def program_from_wire(data: Mapping) -> Program:
     """Rebuild a program from its wire form.
 
+    The program must pass :func:`~repro.ir.validate.validate_structure`:
+    an undeclared array, a rank mismatch or a stray subscript variable
+    is rejected here, not deep in the optimizer.  Extents are not
+    checked.
+
     Raises:
         ProtocolError: for structurally invalid data (the IR layer's
             own validation errors are re-raised as protocol errors so
@@ -135,7 +141,9 @@ def program_from_wire(data: Mapping) -> Program:
             )
             for nest in data["nests"]
         )
-        return Program(data["name"], arrays, nests)
+        program = Program(data["name"], arrays, nests)
+        validate_structure(program)
+        return program
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed program payload: {exc}") from exc
 

@@ -146,3 +146,16 @@ class TestErrors:
         source = "array A[4][4]"
         with pytest.raises(ValueError):
             build_layout_network(parse_program(source))
+
+
+class TestBuildSpans:
+    def test_build_is_split_into_facts_candidates_constraints(self):
+        from repro.obs.trace import recording
+
+        with recording("build_network") as root:
+            build_layout_network(parse_program(FIGURE2))
+        assert [child.name for child in root.children] == [
+            "facts",
+            "candidates",
+            "constraints",
+        ]

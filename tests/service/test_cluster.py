@@ -6,7 +6,6 @@ import json
 import os
 import socket
 import threading
-import time
 
 import pytest
 
@@ -16,7 +15,7 @@ from repro.service.cluster import ClusterConfig, ClusterRouter
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.fingerprint import request_fingerprint
 from repro.service.portfolio import PortfolioConfig
-from repro.service.routing import HashRing
+from repro.service.routing import HashRing, wait_until_serving
 from repro.service.stream import DaemonClient, solve_request
 
 _TEMPLATE = """
@@ -147,11 +146,7 @@ def _run_router(router: ClusterRouter, address: str) -> threading.Thread:
         daemon=True,
     )
     thread.start()
-    deadline = time.monotonic() + 30.0
-    while not os.path.exists(address):
-        if time.monotonic() > deadline:  # pragma: no cover
-            raise TimeoutError("router socket never appeared")
-        time.sleep(0.02)
+    wait_until_serving(address)
     return thread
 
 
@@ -386,11 +381,7 @@ class _MemberHarness:
             daemon=True,
         )
         self.thread.start()
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(self.address):
-            if time.monotonic() > deadline:  # pragma: no cover
-                raise TimeoutError("member socket never appeared")
-            time.sleep(0.02)
+        wait_until_serving(self.address)
 
     def stop(self) -> None:
         if self.thread.is_alive():

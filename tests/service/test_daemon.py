@@ -2,9 +2,7 @@
 
 import asyncio
 import json
-import os
 import threading
-import time
 
 import pytest
 
@@ -14,6 +12,7 @@ from repro.service.cache import ShardedResultCache
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.evaluate import EvaluationRequest, run_evaluation_batch
 from repro.service.portfolio import PortfolioConfig, PortfolioResult
+from repro.service.routing import wait_until_serving
 from repro.service.stream import DaemonClient, evaluate_request, solve_request
 
 #: Small, quick-to-solve programs (distinct fingerprints).
@@ -58,11 +57,7 @@ class _DaemonHarness:
             daemon=True,
         )
         self.thread.start()
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(self.socket_path):
-            if time.monotonic() > deadline:  # pragma: no cover
-                raise TimeoutError("daemon socket never appeared")
-            time.sleep(0.02)
+        wait_until_serving(self.socket_path)
 
     def client(self) -> DaemonClient:
         return DaemonClient(self.socket_path, timeout=120.0)
@@ -137,6 +132,49 @@ class TestProtocol:
         assert bad_model["ok"] is False
         assert bad_hierarchy["ok"] is False
         assert "warp_drive" in bad_hierarchy["error"]
+
+
+def _undeclared_array(wire: dict) -> None:
+    wire["nests"][0]["body"][0][0] = "Ghost"
+
+
+def _rank_mismatch(wire: dict) -> None:
+    wire["nests"][0]["body"][0][1].pop()
+
+
+def _stray_variable(wire: dict) -> None:
+    wire["nests"][0]["body"][0][1][0] = [[["k", 1]], 0]
+
+
+class TestWireValidation:
+    """Structurally invalid programs are named protocol errors at the
+    wire boundary, never a bare KeyError/ValueError from the optimizer."""
+
+    @pytest.mark.parametrize("kind", ["solve", "evaluate"])
+    @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (_undeclared_array, "reference to undeclared array Ghost"),
+            (_rank_mismatch, "Q2 is 2-dimensional but referenced with 1 subscripts"),
+            (_stray_variable, "uses unknown variables ['k']"),
+        ],
+    )
+    def test_bad_program_is_a_protocol_error(self, harness, kind, mutate, reason):
+        program = _program(520)
+        request = (
+            solve_request(program)
+            if kind == "solve"
+            else evaluate_request(program, cost_model="analytic")
+        )
+        mutate(request["program"])
+        with harness.client() as client:
+            response = client.request(request)
+            stats = client.stats()
+            assert client.solve(program)["ok"]  # serving continues
+        assert response["ok"] is False
+        assert response["error"].startswith("malformed program payload: ")
+        assert reason in response["error"]
+        assert stats["counters"]["errors"] == 1
 
 
 class TestServing:

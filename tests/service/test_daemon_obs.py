@@ -2,7 +2,6 @@
 
 import asyncio
 import json
-import os
 import threading
 import time
 
@@ -12,6 +11,7 @@ from repro.ir.parser import parse_program
 from repro.obs import parse_prometheus_text, span_from_dict
 from repro.service.daemon import DaemonConfig, SolverDaemon
 from repro.service.portfolio import PortfolioConfig
+from repro.service.routing import wait_until_serving
 from repro.service.stream import DaemonClient, solve_request
 
 _TEMPLATE = """
@@ -50,11 +50,7 @@ class _Harness:
             daemon=True,
         )
         self.thread.start()
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(self.socket_path):
-            if time.monotonic() > deadline:  # pragma: no cover
-                raise TimeoutError("daemon socket never appeared")
-            time.sleep(0.02)
+        wait_until_serving(self.socket_path)
 
     def client(self) -> DaemonClient:
         return DaemonClient(self.socket_path, timeout=120.0)

@@ -15,6 +15,7 @@ from repro.service.routing import (
     format_address,
     parse_address,
     reclaim_stale_socket,
+    wait_until_serving,
 )
 
 _MEMBERS = [f"/tmp/cluster/member-{i}.sock" for i in range(5)]
@@ -147,6 +148,27 @@ class TestAddresses:
     def test_format_round_trip(self):
         for address in ("/tmp/a.sock", "localhost:9001"):
             assert format_address(parse_address(address)) == address
+
+
+class TestWaitUntilServing:
+    def test_bound_but_not_listening_is_not_serving(self, tmp_path):
+        """``bind()`` creates the socket file before ``listen()``: the
+        file existing must not count as the server being up."""
+        path = str(tmp_path / "early.sock")
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            server.bind(path)
+            assert os.path.exists(path)
+            with pytest.raises(TimeoutError, match="did not come up"):
+                wait_until_serving(path, timeout=0.2)
+            server.listen()
+            wait_until_serving(path, timeout=5.0)
+        finally:
+            server.close()
+
+    def test_missing_socket_times_out(self, tmp_path):
+        with pytest.raises(TimeoutError):
+            wait_until_serving(str(tmp_path / "absent.sock"), timeout=0.1)
 
 
 class TestStaleSocketReclaim:

@@ -63,6 +63,28 @@ class TestProgramWire:
             program_from_wire(wire)
 
 
+    def test_structural_errors_are_named(self):
+        for mutate, reason in (
+            (lambda w: w["nests"][0]["body"][0].__setitem__(0, "Ghost"), "undeclared"),
+            (lambda w: w["nests"][0]["body"][0][1].pop(), "referenced with 1"),
+            (
+                lambda w: w["nests"][0]["body"][0][1].__setitem__(0, [[["k", 1]], 0]),
+                "unknown variables",
+            ),
+        ):
+            wire = program_to_wire(parse_program(FIGURE2))
+            mutate(wire)
+            with pytest.raises(ProtocolError, match=reason):
+                program_from_wire(wire)
+
+    def test_extents_are_not_checked_at_the_boundary(self):
+        """Only structural rules apply on the wire: a subscript running
+        past its array's extent decodes (and is served) as before."""
+        wire = program_to_wire(parse_program(FIGURE2))
+        wire["arrays"][0][1] = [4, 4]
+        assert program_from_wire(wire).arrays[0].extents == (4, 4)
+
+
 class TestLayoutsWire:
     def test_roundtrip(self):
         layouts = {"A": row_major(2), "B": column_major(3)}
