@@ -55,6 +55,7 @@ from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.obs.trace import NOOP_SPAN, Span
 from repro.opt.network_builder import BuildOptions
 from repro.service import stream
+from repro.service.fingerprint import ROUTING_ALIASES, BoundedMemo, routing_key
 from repro.service.portfolio import PortfolioConfig
 from repro.service.routing import (
     DEFAULT_VIRTUAL_NODES,
@@ -252,6 +253,7 @@ class ClusterRouter:
         self._config = config
         self._options = options if options is not None else BuildOptions()
         self._ring = HashRing(config.members, config.virtual_nodes)
+        self._aliases = BoundedMemo(ROUTING_ALIASES)
         self._channels = {
             address: _MemberChannel(address) for address in self._ring.members
         }
@@ -278,17 +280,6 @@ class ClusterRouter:
 
     # -- routing ---------------------------------------------------------
 
-    def _routing_key(self, payload: dict) -> str | None:
-        kind = payload.get("kind")
-        if kind in ("solve", "evaluate"):
-            from repro.service.fingerprint import request_fingerprint
-
-            program = stream.program_from_wire(payload["program"])
-            return request_fingerprint(program, self._options)
-        if kind == "cache_lookup":
-            return payload.get("fingerprint")
-        return None
-
     def _targets(self, key: str | None) -> list[str]:
         """Preference-ordered targets: the owner and its replicas,
         healthy members first within that order."""
@@ -304,7 +295,7 @@ class ClusterRouter:
         """Route one request: owner first, bounded retry with backoff,
         then failover through the replica preference list."""
         with root.phase("route"):
-            key = self._routing_key(payload)
+            key = routing_key(payload, self._options, self._aliases)
             targets = self._targets(key)
         owner = targets[0] if targets else None
         last_error: Exception | None = None

@@ -39,7 +39,6 @@ import os
 import sys
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -71,7 +70,11 @@ from repro.service.evaluate import (
     EvaluationService,
     hierarchy_from_overrides,
 )
-from repro.service.fingerprint import request_fingerprint
+from repro.service.fingerprint import (
+    BoundedMemo,
+    payload_digest,
+    request_fingerprint,
+)
 from repro.service.portfolio import PortfolioConfig, PortfolioSolver
 from repro.service.stream import ProtocolError
 
@@ -164,26 +167,6 @@ class DaemonConfig:
 _WORKER_STATE: dict | None = None
 
 
-class _BoundedMemo(OrderedDict):
-    """A tiny LRU mapping: the per-worker built-network memo."""
-
-    def __init__(self, capacity: int):
-        super().__init__()
-        self._capacity = capacity
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        if key in self:
-            self.move_to_end(key)
-        return value
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self._capacity:
-            self.popitem(last=False)
-
-
 def _init_worker(
     config: PortfolioConfig, options: BuildOptions, memo_capacity: int
 ) -> None:
@@ -195,7 +178,7 @@ def _init_worker(
     daemon parent unlinks the segments it saw at shutdown).
     """
     global _WORKER_STATE
-    network_memo = _BoundedMemo(memo_capacity)
+    network_memo = BoundedMemo(memo_capacity)
     _WORKER_STATE = {
         "solver": PortfolioSolver(
             config,
@@ -319,11 +302,19 @@ class SolverDaemon:
         # Ordered set (dict keys) of fingerprints with a live shared
         # kernel segment, least-recently-served first.
         self._shared_segments: dict[str, None] = {}
+        #: Request aliases: raw-payload digest -> the (fingerprint,
+        #: token) computed for it, written only after the payload
+        #: decoded and fingerprinted.  Bounded like the result cache,
+        #: whose entries the aliases point at.
+        self._aliases = BoundedMemo(
+            self._daemon_config.shards * self._daemon_config.cache_capacity
+        )
         self.counters = {
             "requests": 0,
             "solve": 0,
             "evaluate": 0,
             "cache_served": 0,
+            "alias_served": 0,
             "deduplicated": 0,
             "errors": 0,
         }
@@ -735,15 +726,63 @@ class SolverDaemon:
                 response["trace"] = root.to_dict()
         return response
 
+    def _serve_alias(self, root, payload: dict, start: float):
+        """Answer a byte-identical repeat of a served request from cache.
+
+        Returns ``(digest, response)``; the response is None unless the
+        payload's alias and its cached result are both live, in which
+        case the request skips decoding and fingerprinting.  Anything
+        else (no alias, an evicted or expired result, a result held
+        only by a cluster peer) takes the full path.
+        """
+        began = time.perf_counter_ns()
+        digest = payload_digest(payload)
+        key = self._aliases.get(digest)
+        if key is None or not self.cache.contains(*key):
+            return digest, None
+        if root:
+            root.children.append(Span("alias", start_ns=began).end())
+        with root.phase("cache_lookup"):
+            cached = self.cache.get(*key)
+        if cached is None:
+            return digest, None
+        self.counters["alias_served"] += 1
+        name = payload["program"]["name"]
+        return digest, self._cached_response(root, payload, cached, name, start)
+
+    def _cached_response(
+        self, root, payload: dict, cached: dict, name: str, start: float, peer=None
+    ) -> dict:
+        """The response of a cache-served request."""
+        self.counters["cache_served"] += 1
+        with root.phase("encode"):
+            result = dict(cached)
+            result["program"] = name  # may be a renamed twin
+        response = {
+            "id": payload.get("id"),
+            "ok": True,
+            "kind": payload["kind"],
+            "from_cache": True,
+            "result": result,
+        }
+        if peer is not None:
+            response["peer"] = peer
+        return self._finish(root, payload, response, start)
+
     async def _handle_solve(self, payload: dict) -> dict:
         start = time.perf_counter()
         self.counters["solve"] += 1
         root = self._request_span(payload, "solve")
+        digest, response = self._serve_alias(root, payload, start)
+        if response is not None:
+            return response
         with root.phase("decode"):
             program = stream.program_from_wire(payload["program"])
         with root.phase("fingerprint"):
             fingerprint = request_fingerprint(program, self._options)
             token = self._config.token()
+        if digest is not None:
+            self._aliases[digest] = (fingerprint, token)
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
         peer = None
@@ -752,20 +791,9 @@ class SolverDaemon:
                 root, fingerprint, token
             )
         if cached is not None:
-            self.counters["cache_served"] += 1
-            with root.phase("encode"):
-                result = dict(cached)
-                result["program"] = program.name  # may be a renamed twin
-            response = {
-                "id": payload.get("id"),
-                "ok": True,
-                "kind": "solve",
-                "from_cache": True,
-                "result": result,
-            }
-            if peer is not None:
-                response["peer"] = peer
-            return self._finish(root, payload, response, start)
+            return self._cached_response(
+                root, payload, cached, program.name, start, peer
+            )
         data = await self._dispatch(
             fingerprint, token, root, _worker_solve, program, fingerprint
         )
@@ -785,12 +813,17 @@ class SolverDaemon:
         start = time.perf_counter()
         self.counters["evaluate"] += 1
         root = self._request_span(payload, "evaluate")
+        digest, response = self._serve_alias(root, payload, start)
+        if response is not None:
+            return response
         with root.phase("decode"):
             program = stream.program_from_wire(payload["program"])
             request = _evaluation_request(program, payload)
         with root.phase("fingerprint"):
             fingerprint = request_fingerprint(program, self._options)
             token = request.token(self._config.token())
+        if digest is not None:
+            self._aliases[digest] = (fingerprint, token)
         with root.phase("cache_lookup"):
             cached = self.cache.get(fingerprint, token)
         peer = None
@@ -799,20 +832,9 @@ class SolverDaemon:
                 root, fingerprint, token
             )
         if cached is not None:
-            self.counters["cache_served"] += 1
-            with root.phase("encode"):
-                result = dict(cached)
-                result["program"] = program.name
-            response = {
-                "id": payload.get("id"),
-                "ok": True,
-                "kind": "evaluate",
-                "from_cache": True,
-                "result": result,
-            }
-            if peer is not None:
-                response["peer"] = peer
-            return self._finish(root, payload, response, start)
+            return self._cached_response(
+                root, payload, cached, program.name, start, peer
+            )
         data = await self._dispatch(
             fingerprint, token, root, _worker_evaluate, request
         )

@@ -17,13 +17,24 @@ Three producers:
 * :func:`request_fingerprint` -- a program plus the
   :class:`BuildOptions` that turn it into a network: the cache key of
   one optimization request.
+
+Canonicalizing a program means decoding it from the wire first, which
+costs more than answering a cached request.  A *request alias* skips
+both for an identical repeat: :func:`payload_digest` hashes the raw
+request payload, and a bounded :class:`BoundedMemo` maps that digest to
+what was computed for it.  An entry is written only after the payload's
+program decoded, validated and fingerprinted, so a digest hit is a copy
+of a validated request.  :func:`routing_key` reads such an alias for
+the cluster's hash-ring routing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Hashable
+import marshal
+from collections import OrderedDict
+from typing import Hashable, Mapping
 
 from repro.csp.compiled import CompiledNetwork, as_compiled
 from repro.csp.network import ConstraintNetwork
@@ -31,6 +42,7 @@ from repro.ir.expr import AffineExpr
 from repro.ir.program import Program
 from repro.layout.layout import Layout
 from repro.opt.network_builder import BuildOptions
+from repro.service.stream import program_from_wire
 
 #: Length (hex characters) of every fingerprint digest.
 DIGEST_LENGTH = 32
@@ -141,3 +153,84 @@ def request_fingerprint(program: Program, options: BuildOptions | None = None) -
     """Cache key of one optimization request: program + build options."""
     options = options if options is not None else BuildOptions()
     return _digest([program_fingerprint(program), options_token(options)])
+
+
+# -- request aliases ------------------------------------------------------
+
+#: Bound of a routing alias map (cluster router, client): the default
+#: daemon's result-cache capacity, 4 shards of 1024 entries.
+ROUTING_ALIASES = 4 * 1024
+
+#: Payload fields that never change a request's answer.
+_UNALIASED_FIELDS = ("id", "trace")
+
+
+class BoundedMemo(OrderedDict):
+    """A tiny LRU mapping (worker network memo, request aliases)."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self._capacity = capacity
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if key in self:
+            self.move_to_end(key)
+        return value
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self._capacity:
+            self.popitem(last=False)
+
+
+def payload_digest(payload: Mapping) -> bytes | None:
+    """SHA-256 of a raw request payload without its ``id`` and ``trace``.
+
+    The payload is serialized with :mod:`marshal` (format 2, which
+    writes no back-references, so equal payloads serialize equally
+    whatever else refers to their parts).  Equal bytes decode to equal
+    values, types included, so a digest hit is the same request.  Dict
+    key order is the client's: a reordered payload digests differently,
+    a miss, never a wrong answer.  The digest lives only in this
+    process, so the format's version dependence does not matter.  None
+    when the payload holds a value marshal cannot write (such a request
+    takes the full path).
+    """
+    body = {
+        key: value for key, value in payload.items() if key not in _UNALIASED_FIELDS
+    }
+    try:
+        encoded = marshal.dumps(body, 2)
+    except ValueError:
+        return None
+    return hashlib.sha256(encoded).digest()
+
+
+def routing_key(
+    payload: Mapping, options: BuildOptions | None, aliases: BoundedMemo
+) -> str | None:
+    """The hash-ring key of a request, read through a request alias.
+
+    A solve/evaluate request routes by its request fingerprint, a
+    ``cache_lookup`` by the fingerprint it probes; other kinds have no
+    key (None).  A fingerprint is aliased only after its program
+    decoded, so a malformed payload raises on every send.
+
+    Raises:
+        ProtocolError: for a malformed program payload.
+    """
+    kind = payload.get("kind")
+    if kind == "cache_lookup":
+        return payload.get("fingerprint")
+    if kind not in ("solve", "evaluate"):
+        return None
+    digest = payload_digest(payload)
+    fingerprint = aliases.get(digest)
+    if fingerprint is None:
+        program = program_from_wire(payload.get("program"))
+        fingerprint = request_fingerprint(program, options)
+        if digest is not None:
+            aliases[digest] = fingerprint
+    return fingerprint

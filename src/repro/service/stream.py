@@ -68,10 +68,30 @@ def _expr_to_wire(expr: AffineExpr) -> list:
     return [[[name, coeff] for name, coeff in expr.coeffs], expr.const]
 
 
+def _wire_int(value) -> int:
+    """An integer field; ``int()`` alone would truncate 1.5 to 1."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _wire_name(value) -> str:
+    """A declared name: program, array, nest or loop index.
+
+    References and subscript variables need no check: a name that is
+    not declared fails :func:`~repro.ir.validate.validate_structure`.
+    """
+    if not isinstance(value, str):
+        raise ValueError(f"name {value!r} is not a string")
+    return value
+
+
 def _expr_from_wire(data) -> AffineExpr:
     coeffs, const = data
     return AffineExpr.from_mapping(
-        {name: int(coeff) for name, coeff in coeffs}, int(const)
+        {name: _wire_int(coeff) for name, coeff in coeffs},
+        _wire_int(const),
     )
 
 
@@ -109,8 +129,10 @@ def program_from_wire(data: Mapping) -> Program:
 
     The program must pass :func:`~repro.ir.validate.validate_structure`:
     an undeclared array, a rank mismatch or a stray subscript variable
-    is rejected here, not deep in the optimizer.  Extents are not
-    checked.
+    is rejected here, not deep in the optimizer.  So are a name that is
+    not a string, a number that is not an integer, and a program
+    without loop nests (it references no arrays, so nothing can be
+    optimized).  Extents are not checked.
 
     Raises:
         ProtocolError: for structurally invalid data (the IR layer's
@@ -119,14 +141,18 @@ def program_from_wire(data: Mapping) -> Program:
     """
     try:
         arrays = tuple(
-            ArrayDecl(name, tuple(int(e) for e in extents), element_type)
+            ArrayDecl(
+                _wire_name(name),
+                tuple(_wire_int(e) for e in extents),
+                element_type,
+            )
             for name, extents, element_type in data["arrays"]
         )
         nests = tuple(
             LoopNest(
-                name=nest["name"],
+                name=_wire_name(nest["name"]),
                 loops=tuple(
-                    Loop(index, int(lower), int(upper))
+                    Loop(_wire_name(index), _wire_int(lower), _wire_int(upper))
                     for index, lower, upper in nest["loops"]
                 ),
                 body=tuple(
@@ -137,14 +163,16 @@ def program_from_wire(data: Mapping) -> Program:
                     )
                     for array, subscripts, kind in nest["body"]
                 ),
-                weight=int(nest.get("weight", 1)),
+                weight=_wire_int(nest.get("weight", 1)),
             )
             for nest in data["nests"]
         )
-        program = Program(data["name"], arrays, nests)
+        program = Program(_wire_name(data["name"]), arrays, nests)
         validate_structure(program)
+        if not program.nests:
+            raise ValueError(f"program {program.name} has no loop nests")
         return program
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed program payload: {exc}") from exc
 
 
@@ -329,6 +357,7 @@ class DaemonClient:
             raise ValueError("DaemonClient needs at least one address")
         # Lazy imports keep the module importable without the opt layer
         # in pathological embedding scenarios; these are stdlib-cheap.
+        from repro.service.fingerprint import ROUTING_ALIASES, BoundedMemo
         from repro.service.routing import HashRing
 
         self._addresses = addresses
@@ -336,6 +365,7 @@ class DaemonClient:
         self._options = options
         self._retry = retry
         self._ring = HashRing(addresses) if len(addresses) > 1 else None
+        self._aliases = BoundedMemo(ROUTING_ALIASES)
         # address -> (socket, buffered reader); opened on first use so
         # a 3-member client talking to one member opens one socket.
         self._connections: dict[str, tuple] = {}
@@ -402,28 +432,16 @@ class DaemonClient:
 
     # -- client-side routing --------------------------------------------
 
-    def _routing_key(self, payload: Mapping) -> str | None:
-        """The fingerprint a routable request hashes to, or None."""
-        kind = payload.get("kind")
-        if kind == "cache_lookup":
-            return payload.get("fingerprint")
-        if kind not in ("solve", "evaluate") or not isinstance(
-            payload.get("program"), dict
-        ):
-            return None
-        from repro.service.fingerprint import request_fingerprint
-
-        try:
-            program = program_from_wire(payload["program"])
-        except ProtocolError:
-            return None  # let the daemon produce the error line
-        return request_fingerprint(program, self._options)
-
     def _target_for(self, payload: Mapping) -> str:
         """Owner member for routable requests; the primary otherwise."""
         if self._ring is None:
             return self._addresses[0]
-        key = self._routing_key(payload)
+        from repro.service.fingerprint import routing_key
+
+        try:
+            key = routing_key(payload, self._options, self._aliases)
+        except ProtocolError:
+            key = None  # let the daemon produce the error line
         if key is None:
             return self._addresses[0]
         return self._ring.owner(key)

@@ -146,6 +146,23 @@ def _stray_variable(wire: dict) -> None:
     wire["nests"][0]["body"][0][1][0] = [[["k", 1]], 0]
 
 
+def _int_loop_index(wire: dict) -> None:
+    wire["nests"][0]["loops"][0][0] = 3
+
+
+def _fractional_coefficient(wire: dict) -> None:
+    wire["nests"][0]["body"][0][1][0][0][0][1] = 1.5
+
+
+def _fractional_weight(wire: dict) -> None:
+    wire["nests"][0]["weight"] = 2.5
+
+
+def _no_arrays_no_nests(wire: dict) -> None:
+    wire["arrays"] = []
+    wire["nests"] = []
+
+
 class TestWireValidation:
     """Structurally invalid programs are named protocol errors at the
     wire boundary, never a bare KeyError/ValueError from the optimizer."""
@@ -157,6 +174,10 @@ class TestWireValidation:
             (_undeclared_array, "reference to undeclared array Ghost"),
             (_rank_mismatch, "Q2 is 2-dimensional but referenced with 1 subscripts"),
             (_stray_variable, "uses unknown variables ['k']"),
+            (_int_loop_index, "name 3 is not a string"),
+            (_fractional_coefficient, "1.5 is not an integer"),
+            (_fractional_weight, "2.5 is not an integer"),
+            (_no_arrays_no_nests, "program program has no loop nests"),
         ],
     )
     def test_bad_program_is_a_protocol_error(self, harness, kind, mutate, reason):

@@ -71,11 +71,32 @@ class TestProgramWire:
                 lambda w: w["nests"][0]["body"][0][1].__setitem__(0, [[["k", 1]], 0]),
                 "unknown variables",
             ),
+            (lambda w: w["nests"][0]["loops"][0].__setitem__(0, 3), "name 3 is not"),
+            (lambda w: w["arrays"][0].__setitem__(0, 7), "name 7 is not"),
+            (lambda w: w.__setitem__("name", None), "name None is not"),
+            (
+                lambda w: w["nests"][0]["body"][0][1][0][0][0].__setitem__(1, 1.5),
+                "1.5 is not an integer",
+            ),
+            (lambda w: w["nests"][0].__setitem__("weight", 2.5), "2.5 is not"),
+            (lambda w: w["arrays"][0][1].__setitem__(0, "520"), "'520' is not"),
+            (
+                lambda w: w["nests"][0]["loops"][0].__setitem__(2, float("inf")),
+                "infinity",
+            ),
+            (lambda w: w.__setitem__("nests", []), "has no loop nests"),
         ):
             wire = program_to_wire(parse_program(FIGURE2))
             mutate(wire)
             with pytest.raises(ProtocolError, match=reason):
                 program_from_wire(wire)
+
+    def test_integral_floats_decode_as_integers(self):
+        program = parse_program(FIGURE2)
+        wire = program_to_wire(program)
+        wire["nests"][0]["weight"] = 1.0
+        wire["nests"][0]["loops"][0][2] = 259.0
+        assert program_from_wire(wire) == program
 
     def test_extents_are_not_checked_at_the_boundary(self):
         """Only structural rules apply on the wire: a subscript running
