@@ -1,34 +1,30 @@
-"""Propagation-kernel throughput: native vs numpy vs bitset engines.
+"""Propagation-kernel throughput: native vs bitset engines.
 
 Not a paper table -- this gates the engine ladder: on the Table 2
-benchmark suite, a fixed per-network solver mix must run **>= 3x**
-faster through the numpy engine than through the bitset engine, and
-**>= 2x** faster again through the native C engine
-(:mod:`repro.csp.native`) than through numpy, while all three return
-**byte-identical** solutions, RNG streams and effort counters (nodes,
-backtracks, backjumps, consistency checks, restarts).
+benchmark suite, a fixed per-network solver mix must run **>= 6x**
+faster through the native C engine (:mod:`repro.csp.native`) than
+through the bitset engine, while both return **byte-identical**
+solutions, RNG streams and effort counters (nodes, backtracks,
+backjumps, consistency checks, restarts).
 
 The mix per network is the propagation-dominated serving work one
 request fans out into:
 
 * an AC-3 preprocessing pass (whole-domain revisions);
-* an enhanced-scheme solve (vectorized MCV/LCV orderings);
-* a forward-checking solve (vectorized MRV selection);
-* a 16-seed min-conflicts restart portfolio (the lockstep batched
-  chains) with a fixed step budget, the dominant share by design --
-  conflict scanning is the paper workload's propagation hot spot.
+* an enhanced-scheme solve (MCV/LCV orderings);
+* a forward-checking solve (MRV selection);
+* a 16-seed min-conflicts restart portfolio with a fixed step budget,
+  the dominant share by design -- conflict scanning is the paper
+  workload's propagation hot spot.
 
-Environment knobs (the CI smoke job caps the budgets and disables the
+Environment knobs (the CI smoke jobs cap the budgets and disable the
 timing gate; parity is asserted either way):
 
 * ``REPRO_BENCH_MC_STEPS``    -- per-chain step budget (default 600);
 * ``REPRO_BENCH_MC_CHAINS``   -- chains per network (default 16);
-* ``REPRO_BENCH_KERNEL_GATE`` -- set to ``0`` to report the numpy
-  speedup without failing below 3x (shared CI runners time
-  unreliably);
-* ``REPRO_BENCH_NATIVE_GATE`` -- the native-vs-numpy gate: ``0``
+* ``REPRO_BENCH_NATIVE_GATE`` -- the native-vs-bitset gate: ``0``
   reports without failing, any other value is the required multiple
-  (default ``2``).  Skipped entirely on compilerless hosts.
+  (default ``6``).  The native run is skipped on compilerless hosts.
 
 Run:  pytest benchmarks/bench_kernel_throughput.py --benchmark-only -s
 """
@@ -38,13 +34,11 @@ import time
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.bench import BENCHMARK_NAMES
 from repro.csp.arc_consistency import ac3
 from repro.csp.enhanced import EnhancedSolver
 from repro.csp.forward_checking import ForwardCheckingSolver
-from repro.csp.vectorized import as_vectorized, batch_min_conflicts
+from repro.csp.vectorized import batch_min_conflicts
 from repro.opt.report import format_table
 from benchmarks.conftest import HARNESS_SEED
 
@@ -53,13 +47,10 @@ MC_STEPS = int(os.environ.get("REPRO_BENCH_MC_STEPS", 600))
 MC_CHAINS = int(os.environ.get("REPRO_BENCH_MC_CHAINS", 16))
 MC_RESTARTS = 2
 
-#: Timing gate (>= 3x); parity is always asserted.
-GATE = os.environ.get("REPRO_BENCH_KERNEL_GATE", "1") != "0"
-REQUIRED_SPEEDUP = 3.0
-
-#: Native-vs-numpy gate: "0" reports only, anything else is the
-#: required multiple (default 2x).
-_NATIVE_GATE_RAW = os.environ.get("REPRO_BENCH_NATIVE_GATE", "2").strip()
+#: Native-vs-bitset gate: "0" reports only, anything else is the
+#: required multiple.  The default 6x is what the ladder demanded
+#: when a 3x tier sat between the two and native had to beat it 2x.
+_NATIVE_GATE_RAW = os.environ.get("REPRO_BENCH_NATIVE_GATE", "6").strip()
 NATIVE_GATE = _NATIVE_GATE_RAW != "0"
 NATIVE_REQUIRED_SPEEDUP = float(_NATIVE_GATE_RAW) if NATIVE_GATE else 0.0
 
@@ -127,19 +118,14 @@ def _native_param():
     )
 
 
-@pytest.mark.parametrize("engine", ["bitset", "numpy", _native_param()])
+@pytest.mark.parametrize("engine", ["bitset", _native_param()])
 def test_kernel_throughput(benchmark, engine, networks):
     """Time the full-suite mix once per engine (one-shot, like Table 2)."""
     kernels = {name: networks[name].kernel() for name in BENCHMARK_NAMES}
-    if engine == "numpy":
-        # Warm the plane cache: a resident worker builds (or attaches)
-        # the vectorized kernel once and serves many requests from it,
-        # which is the throughput being modelled here.
-        for kernel in kernels.values():
-            as_vectorized(kernel)
     if engine == "native":
-        # Same resident-worker model: compile/load the shared library
-        # and lower each kernel once before the clock starts.
+        # A resident worker compiles/loads the shared library and
+        # lowers each kernel once, then serves many requests from it,
+        # which is the throughput being modelled here.
         from repro.csp.native.ops import as_native
 
         for kernel in kernels.values():
@@ -167,41 +153,40 @@ def test_kernel_throughput(benchmark, engine, networks):
 
 
 def test_parity_and_speedup(benchmark):
-    """Byte-identical observables; gated suite throughput per tier."""
+    """Byte-identical observables; gated native suite throughput."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert {"bitset", "numpy"} <= set(_runs), "run the engine benchmarks first"
-    bitset, numpy_run = _runs["bitset"], _runs["numpy"]
+    assert "bitset" in _runs, "run the engine benchmarks first"
+    bitset = _runs["bitset"]
     native_run = _runs.get("native")  # absent on compilerless hosts
+    if native_run is None:
+        pytest.skip("native kernel unavailable: nothing to compare")
 
     # Parity: solutions, UNSAT/completeness verdicts, RNG-stream-pinned
     # effort counters, AC-3 domains and revision counts -- everything
-    # observable must match byte for byte across every engine that ran.
+    # observable must match byte for byte across the engines.
     for name in BENCHMARK_NAMES:
-        assert bitset["observed"][name] == numpy_run["observed"][name], name
-        if native_run is not None:
-            assert bitset["observed"][name] == native_run["observed"][name], name
+        assert bitset["observed"][name] == native_run["observed"][name], name
 
-    timed = {"bitset": bitset, "numpy": numpy_run}
-    if native_run is not None:
-        timed["native"] = native_run
     rows = []
     for name in BENCHMARK_NAMES:
-        per_engine = {eng: run["seconds"][name] for eng, run in timed.items()}
+        per_engine = {
+            "bitset": bitset["seconds"][name],
+            "native": native_run["seconds"][name],
+        }
         rows.append(
             [
                 name,
                 *(
                     " / ".join(
-                        f"{per_engine[eng][op] * 1e3:.1f}" for eng in timed
+                        f"{per_engine[eng][op] * 1e3:.1f}" for eng in per_engine
                     )
                     for op in ("ac3", "enhanced", "fc", "minconflicts")
                 ),
-                f"{sum(per_engine['bitset'].values()) / sum(per_engine[list(timed)[-1]].values()):.2f}x",
+                f"{sum(per_engine['bitset'].values()) / sum(per_engine['native'].values()):.2f}x",
             ]
         )
-    speedup = bitset["elapsed"] / numpy_run["elapsed"]
-    tiers = " / ".join(f"ms {eng}" for eng in timed)
-    print(f"\n\n=== Propagation-kernel throughput ({tiers}) ===")
+    speedup = bitset["elapsed"] / native_run["elapsed"]
+    print("\n\n=== Propagation-kernel throughput (ms bitset / ms native) ===")
     print(
         format_table(
             ["Benchmark", "ac3", "enhanced", "fc", f"mc x{MC_CHAINS}", "speedup"],
@@ -209,34 +194,16 @@ def test_parity_and_speedup(benchmark):
         )
     )
     print(
-        f"suite: bitset {bitset['elapsed']:.3f}s, numpy "
-        f"{numpy_run['elapsed']:.3f}s -> {speedup:.2f}x "
-        f"(gate {'>= %.1fx' % REQUIRED_SPEEDUP if GATE else 'off'})"
+        f"suite: bitset {bitset['elapsed']:.3f}s, native "
+        f"{native_run['elapsed']:.3f}s -> {speedup:.2f}x "
+        f"(gate {'>= %.1fx' % NATIVE_REQUIRED_SPEEDUP if NATIVE_GATE else 'off'})"
     )
-    benchmark.extra_info.update({"speedup": speedup, "gated": GATE})
-    if native_run is not None:
-        native_speedup = numpy_run["elapsed"] / native_run["elapsed"]
-        native_vs_bitset = bitset["elapsed"] / native_run["elapsed"]
-        print(
-            f"native: {native_run['elapsed']:.3f}s -> {native_speedup:.2f}x "
-            f"over numpy, {native_vs_bitset:.2f}x over bitset "
-            f"(gate {'>= %.1fx' % NATIVE_REQUIRED_SPEEDUP if NATIVE_GATE else 'off'})"
-        )
-        benchmark.extra_info.update(
-            {
-                "native_speedup_vs_numpy": native_speedup,
-                "native_speedup_vs_bitset": native_vs_bitset,
-                "native_gated": NATIVE_GATE,
-            }
-        )
-    if GATE:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"numpy engine is {speedup:.2f}x the bitset engine; "
-            f"the vectorized kernel must deliver >= {REQUIRED_SPEEDUP}x"
-        )
-    if native_run is not None and NATIVE_GATE:
-        assert native_speedup >= NATIVE_REQUIRED_SPEEDUP, (
-            f"native engine is {native_speedup:.2f}x the numpy engine; "
+    benchmark.extra_info.update(
+        {"native_speedup_vs_bitset": speedup, "native_gated": NATIVE_GATE}
+    )
+    if NATIVE_GATE:
+        assert speedup >= NATIVE_REQUIRED_SPEEDUP, (
+            f"native engine is {speedup:.2f}x the bitset engine; "
             f"the C kernel must deliver >= {NATIVE_REQUIRED_SPEEDUP}x "
             f"(tune with REPRO_BENCH_NATIVE_GATE)"
         )
@@ -264,12 +231,10 @@ def test_observability_overhead(benchmark, networks):
     assert obs_metrics.get_registry().snapshot() == before
 
     kernels = {name: networks[name].kernel() for name in BENCHMARK_NAMES}
-    for kernel in kernels.values():
-        as_vectorized(kernel)
 
     def suite() -> None:
         for kernel in kernels.values():
-            _run_mix(kernel, "numpy")
+            _run_mix(kernel, "auto")
 
     def traced_suite():
         with capture("bench_overhead") as captured:

@@ -35,10 +35,6 @@ Run:  pytest benchmarks/bench_split_search.py --benchmark-only -s
 import os
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
 from repro.bench import BENCHMARK_NAMES
 from repro.csp.forward_checking import ForwardCheckingSolver
 from repro.csp.random_networks import random_network

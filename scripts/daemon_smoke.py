@@ -8,14 +8,11 @@ daemon twice and asserts:
 * the second pass serves **>= 50%** of requests from the daemon's
   sharded cache;
 * solve payloads are byte-identical across the two passes;
-* when the numpy engine served misses on a multi-worker daemon, at
-  least one warm worker **attached** the shared-memory vectorized
-  kernel published by a sibling (the ``engines`` breakdown in the
-  daemon's ``stats`` response) instead of rebuilding it per process;
-* the ``engines`` breakdown attributes the first pass's worker
-  misses to some propagation tier (``native``/``numpy``/``bitset``;
-  which one the ``auto`` crossover picks is host- and size-dependent,
-  but a silent zero row means the telemetry seam broke);
+* the ``engines`` breakdown in the daemon's ``stats`` response
+  attributes the first pass's worker misses to a propagation tier
+  (``native``/``bitset``; which one ``auto`` picks is host- and
+  size-dependent, but a silent zero row means the telemetry seam
+  broke);
 * every request is sent with ``"trace": true`` and every response's
   span tree contains a ``cache_lookup`` phase;
 * the ``metrics`` request kind answers with parseable Prometheus text
@@ -38,12 +35,11 @@ gate on it directly.
 from __future__ import annotations
 
 import json
-import os
 import sys
-import time
 
 from repro.bench import build_benchmark, random_suite
 from repro.obs import parse_prometheus_text, span_from_dict
+from repro.service.routing import wait_until_serving
 from repro.service.stream import DaemonClient, evaluate_request, solve_request
 
 #: Exposition series that must appear, by subsystem (ISSUE: at least
@@ -56,11 +52,10 @@ REQUIRED_SERIES = {
 
 
 def wait_for_socket(path: str, timeout: float = 60.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not os.path.exists(path):
-        if time.monotonic() > deadline:
-            raise SystemExit(f"daemon socket {path} never appeared")
-        time.sleep(0.1)
+    try:
+        wait_until_serving(path, timeout)
+    except TimeoutError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _cache_hits(text: str) -> float:
@@ -175,19 +170,7 @@ def main(argv: list[str]) -> int:
 
     engines = stats.get("engines", {})
     print(f"daemon engines: {engines}")
-    workers = hello["result"].get("workers", 1)
-    if hello["result"].get("numpy") and workers >= 2 and engines.get("numpy", 0) >= 2:
-        attached = engines.get("shared_attached", 0)
-        if attached < 1:
-            print(
-                "FAIL: numpy misses on a multi-worker daemon must attach "
-                "the shared vectorized kernel at least once "
-                f"(engines={engines})"
-            )
-            return 1
-        print(f"OK: {attached} shared-kernel attach(es) across warm workers")
-
-    tier_total = sum(engines.get(tier, 0) for tier in ("native", "numpy", "bitset"))
+    tier_total = sum(engines.get(tier, 0) for tier in ("native", "bitset"))
     if tier_total < 1:
         print(
             "FAIL: the first pass dispatched misses to workers, so the "

@@ -7,11 +7,12 @@
 * :mod:`repro.csp.compiled` -- the *execution* representation: dense
   integer indices and per-value support bitmasks; every solver below
   runs its inner loop on this kernel.
-* :mod:`repro.csp.vectorized` -- the numpy *acceleration* tier: dense
-  support matrices and batched array operations behind every solver's
-  ``engine="bitset" | "numpy" | "auto"`` knob, parity-preserving
-  (identical RNG streams, counters and solutions), plus zero-copy
-  shared-memory kernel sharing for resident worker pools.
+* :mod:`repro.csp.vectorized` -- engine resolution behind every
+  solver's ``engine="bitset" | "native" | "auto"`` knob: ``auto`` runs
+  a network on the native C kernel (:mod:`repro.csp.native`) when one
+  is usable and the network is big enough, and on the bitset loops
+  otherwise.  Both engines are parity-preserving (identical RNG
+  streams, counters and solutions).
 * :mod:`repro.csp.stats` -- search instrumentation shared by all
   solvers (nodes, backtracks, backjumps, consistency checks, time).
 * :mod:`repro.csp.backtracking` -- the paper's *base scheme*:
@@ -39,11 +40,8 @@
 from repro.csp.network import BinaryConstraint, ConstraintNetwork
 from repro.csp.compiled import CompiledNetwork, compile_network
 from repro.csp.vectorized import (
-    VectorizedKernel,
-    as_vectorized,
     batch_min_conflicts,
     native_available,
-    numpy_available,
     resolve_engine,
 )
 from repro.csp.stats import SolverStats, SolverResult
@@ -70,11 +68,8 @@ __all__ = [
     "ConstraintNetwork",
     "CompiledNetwork",
     "compile_network",
-    "VectorizedKernel",
-    "as_vectorized",
     "batch_min_conflicts",
     "native_available",
-    "numpy_available",
     "resolve_engine",
     "SolverStats",
     "SolverResult",

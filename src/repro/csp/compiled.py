@@ -216,18 +216,14 @@ class CompiledNetwork:
     # -- pickling ---------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop the engine-lowering caches from pickles.
+        """Drop the native-lowering cache from pickles.
 
-        The numpy planes (:mod:`repro.csp.vectorized`) can be many
-        times the kernel's own size; worker processes rebuild them,
-        inherit them across a ``fork``, or attach the shared-memory
-        segment -- they must never ride along in a pickle.  The native
-        lowering (:mod:`repro.csp.native.ops`) holds a ``ctypes``
-        library handle, which does not pickle at all; workers rebuild
-        it from the shared on-disk ``.so`` cache instead.
+        The native lowering (:mod:`repro.csp.native.ops`) holds a
+        ``ctypes`` library handle, which does not pickle at all;
+        workers rebuild it from the shared on-disk ``.so`` cache
+        instead.
         """
         state = dict(self.__dict__)
-        state.pop("_vector_cache", None)
         state.pop("_native_cache", None)
         return state
 

@@ -33,22 +33,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.csp.compiled import CompiledNetwork, as_compiled
 from repro.csp.network import ConstraintNetwork
 from repro.csp.stats import SolverResult, SolverStats, Stopwatch
-from repro.csp.vectorized import (
-    ENGINE_AUTO,
-    ENGINE_NATIVE,
-    ENGINE_NUMPY,
-    ENGINES,
-    MaskedLexArgmin,
-    as_vectorized,
-    resolve_engine,
-)
+from repro.csp.vectorized import ENGINE_AUTO, ENGINE_NATIVE, ENGINES, resolve_engine
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import EFFORT_BUCKETS
+
+if TYPE_CHECKING:
+    from repro.csp.native.ops import NativeOrderings
 
 
 def record_solver_effort(engine: str, scheme: str, stats: SolverStats) -> None:
@@ -99,13 +95,13 @@ class EngineConfig:
         max_nodes: optional node budget; when exhausted the solver
             stops and reports an *incomplete* result (None assignment
             with ``complete=False``) instead of running unboundedly.
-        engine: ``bitset``, ``numpy`` or ``auto`` -- which propagation
+        engine: ``bitset``, ``native`` or ``auto`` -- which propagation
             kernel evaluates the ordering heuristics.  The search, its
             RNG stream and every effort counter are identical either
-            way; the numpy engine computes the most-constraining and
-            least-constraining scores as array operations.  Random
-            orderings have no heuristic mathematics, so the base
-            scheme runs the same code under both engines.
+            way; the native engine computes the most-constraining and
+            least-constraining scores in C.  Random orderings have no
+            heuristic mathematics, so the base scheme runs the same
+            code under both engines.
     """
 
     variable_ordering: bool = False
@@ -126,58 +122,6 @@ class EngineConfig:
 
 class _NodeBudgetExhausted(Exception):
     """Internal: raised when the engine's node budget runs out."""
-
-
-class _VecOrderings:
-    """Per-solve numpy state for the ordering heuristics.
-
-    Tracks the unassigned-variable indicator vector and precomputes
-    the static parts of the most-constraining key, so a variable
-    selection is one adjacency matrix-vector product plus an argmin
-    (:class:`~repro.csp.vectorized.MaskedLexArgmin`) and a value
-    ordering is one row-sum plus a stable argsort.
-    """
-
-    def __init__(self, vectorized):
-        import numpy as np
-
-        self.np = np
-        self.vk = vectorized
-        count = vectorized.variable_count
-        self.unassigned = np.ones(count, dtype=np.int64)
-        max_domain = vectorized.max_domain
-        # Reference key: (-future_degree, -total_degree, domain, rank)
-        # (`_select_variable`), with future_degree the dynamic digit:
-        # both negated counts are encoded ascending as (bound - count).
-        self.mcv = MaskedLexArgmin(
-            (
-                (count - vectorized.degrees) * (max_domain + 2)
-                + vectorized.domain_sizes
-            ) * (count + 1)
-            + vectorized.name_rank
-        )
-
-    def select_most_constraining(self) -> int:
-        vk = self.vk
-        future_degree = vk.adjacency @ self.unassigned
-        return self.mcv.argmin(
-            vk.variable_count - future_degree, self.unassigned == 1
-        )
-
-    def order_least_constraining(self, variable: int, stats: SolverStats) -> list[int]:
-        np = self.np
-        vk = self.vk
-        degree = vk.degree_list[variable]
-        domain = vk.domain_size_list[variable]
-        if degree == 0:
-            return list(range(domain))
-        neighbors = vk.neighbors_pad[variable, :degree]
-        live = self.unassigned[neighbors] == 1
-        totals = vk.lcv_counts[variable, :degree][live, :domain].sum(axis=0)
-        stats.consistency_checks += domain * int(
-            vk.domain_sizes[neighbors[live]].sum()
-        )
-        return np.argsort(-totals, kind="stable").tolist()
 
 
 class SearchEngine:
@@ -219,13 +163,9 @@ class SearchEngine:
         complete = True
         vec = None
         if self._config.variable_ordering or self._config.value_ordering:
-            resolved = resolve_engine(self._config.engine, kernel)
-            if resolved == ENGINE_NUMPY:
-                vec = _VecOrderings(as_vectorized(kernel))
-            elif resolved == ENGINE_NATIVE:
-                # Same interface as _VecOrderings (select / order /
-                # mutable unassigned indicator), heuristics evaluated
-                # by the C kernel with the identical key encoding.
+            if resolve_engine(self._config.engine, kernel) == ENGINE_NATIVE:
+                # Heuristics evaluated by the C kernel with the same
+                # keys as `_select_variable` / `_order_values`.
                 from repro.csp.native.ops import NativeOrderings
 
                 vec = NativeOrderings(kernel)
@@ -259,7 +199,7 @@ class SearchEngine:
         depth_of: list[int],
         rng: random.Random,
         stats: SolverStats,
-        vec: "_VecOrderings | None",
+        vec: "NativeOrderings | None",
     ) -> tuple[dict | None, int, set[int]]:
         if depth == kernel.variable_count:
             return kernel.to_named(values), depth, set()
@@ -321,7 +261,7 @@ class SearchEngine:
         kernel: CompiledNetwork,
         values: list[int | None],
         rng: random.Random,
-        vec: "_VecOrderings | None" = None,
+        vec: "NativeOrderings | None" = None,
     ) -> int:
         if self._config.variable_ordering and vec is not None:
             return vec.select_most_constraining()
@@ -356,7 +296,7 @@ class SearchEngine:
         values: list[int | None],
         rng: random.Random,
         stats: SolverStats,
-        vec: "_VecOrderings | None" = None,
+        vec: "NativeOrderings | None" = None,
     ) -> list[int]:
         if self._config.value_ordering and vec is not None:
             return vec.order_least_constraining(variable, stats)

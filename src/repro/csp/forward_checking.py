@@ -10,11 +10,9 @@ Runs on the compiled kernel: live domains are bitmasks, so pruning a
 neighbor against an assignment is a single AND with the support mask
 (the checks counter still reports the per-value cost for comparability)
 and restoring on backtrack rewrites one int per touched neighbor.  The
-numpy engine (``engine="numpy"``; see :mod:`repro.csp.vectorized`)
-additionally keeps the live-domain popcounts in a maintained vector so
-the MRV variable selection is one masked argmin instead of a Python
-scan over every variable per node -- the search tree, pruning order
-and effort counters are identical.
+native engine (``engine="native"``; see :mod:`repro.csp.vectorized`)
+runs the whole search as one C call with the identical search tree,
+pruning order and effort counters.
 """
 
 from __future__ import annotations
@@ -24,38 +22,7 @@ import time
 from repro.csp.compiled import CompiledNetwork, as_compiled
 from repro.csp.network import ConstraintNetwork
 from repro.csp.stats import SolverResult, SolverStats, Stopwatch
-from repro.csp.vectorized import (
-    ENGINE_AUTO,
-    ENGINE_NATIVE,
-    ENGINE_NUMPY,
-    MaskedLexArgmin,
-    as_vectorized,
-    resolve_engine,
-)
-
-
-class _VecSelection:
-    """Maintained numpy state for the vectorized MRV selection.
-
-    ``popcounts`` mirrors ``domains[i].bit_count()`` for every
-    variable; the reference key ``(popcount, -degree, rank)``
-    (`_select_mrv`) has its tail encoded once into a
-    :class:`~repro.csp.vectorized.MaskedLexArgmin`.
-    """
-
-    def __init__(self, vectorized):
-        import numpy as np
-
-        self.np = np
-        count = vectorized.variable_count
-        self.popcounts = vectorized.domain_sizes.copy()
-        self.assigned = np.zeros(count, dtype=bool)
-        self.mrv = MaskedLexArgmin(
-            (count - vectorized.degrees) * (count + 1) + vectorized.name_rank
-        )
-
-    def select(self) -> int:
-        return self.mrv.argmin(self.popcounts, ~self.assigned)
+from repro.csp.vectorized import ENGINE_AUTO, ENGINE_NATIVE, resolve_engine
 
 
 class _SearchCutoff(Exception):
@@ -128,17 +95,11 @@ class ForwardCheckingSolver:
             self._deadline_at = None
         if resolved == ENGINE_NATIVE:
             return self._solve_native(kernel, values, domains, assigned)
-        vec = None
-        if resolved == ENGINE_NUMPY:
-            vec = _VecSelection(as_vectorized(kernel))
-            for i in range(kernel.variable_count):
-                vec.popcounts[i] = domains[i].bit_count()
-                vec.assigned[i] = values[i] is not None
         stats = SolverStats()
         complete = True
         with Stopwatch(stats):
             try:
-                solution = self._search(kernel, values, assigned, domains, stats, vec)
+                solution = self._search(kernel, values, assigned, domains, stats)
             except _SearchCutoff:
                 solution = None
                 complete = False
@@ -186,14 +147,10 @@ class ForwardCheckingSolver:
         assigned: int,
         domains: list[int],
         stats: SolverStats,
-        vec: _VecSelection | None,
     ) -> dict | None:
         if assigned == kernel.variable_count:
             return kernel.to_named(values)
-        if vec is not None:
-            variable = vec.select()
-        else:
-            variable = self._select_mrv(kernel, values, domains)
+        variable = self._select_mrv(kernel, values, domains)
         remaining = domains[variable]
         while remaining:
             low = remaining & -remaining
@@ -209,21 +166,15 @@ class ForwardCheckingSolver:
             ):
                 raise _SearchCutoff()
             pruned = self._forward_prune(
-                kernel, variable, value, values, domains, stats, vec
+                kernel, variable, value, values, domains, stats
             )
             if pruned is not None:
                 values[variable] = value
-                if vec is not None:
-                    vec.assigned[variable] = True
-                solution = self._search(
-                    kernel, values, assigned + 1, domains, stats, vec
-                )
+                solution = self._search(kernel, values, assigned + 1, domains, stats)
                 if solution is not None:
                     return solution
                 values[variable] = None
-                if vec is not None:
-                    vec.assigned[variable] = False
-                self._restore(domains, pruned, vec)
+                self._restore(domains, pruned)
             # A None pruning result means some neighbor was wiped out;
             # the next value is tried immediately.
         stats.backtracks += 1
@@ -250,7 +201,6 @@ class ForwardCheckingSolver:
         values: list[int | None],
         domains: list[int],
         stats: SolverStats,
-        vec: _VecSelection | None,
     ) -> list[tuple[int, int]] | None:
         """Prune neighbor domains; None (and full rollback) on wipe-out.
 
@@ -266,7 +216,7 @@ class ForwardCheckingSolver:
                 # compatible values when it was assigned).
                 stats.consistency_checks += 1
                 if not (support >> neighbor_value) & 1:
-                    self._restore(domains, pruned, vec)
+                    self._restore(domains, pruned)
                     return None
                 continue
             before = domains[neighbor]
@@ -274,21 +224,13 @@ class ForwardCheckingSolver:
             after = before & support
             if after != before:
                 domains[neighbor] = after
-                if vec is not None:
-                    vec.popcounts[neighbor] = after.bit_count()
                 pruned.append((neighbor, before))
                 if not after:
-                    self._restore(domains, pruned, vec)
+                    self._restore(domains, pruned)
                     return None
         return pruned
 
     @staticmethod
-    def _restore(
-        domains: list[int],
-        pruned: list[tuple[int, int]],
-        vec: _VecSelection | None = None,
-    ) -> None:
+    def _restore(domains: list[int], pruned: list[tuple[int, int]]) -> None:
         for neighbor, before in reversed(pruned):
             domains[neighbor] = before
-            if vec is not None:
-                vec.popcounts[neighbor] = before.bit_count()

@@ -11,16 +11,12 @@ choice per network):
 
 * ``bitset``: the compiled kernel's shift-and-mask loops (one check
   per directed arc per scan);
-* ``numpy``: the vectorized kernel (:mod:`repro.csp.vectorized`)
-  keeps the per-variable conflict counts in an incrementally updated
-  vector and evaluates whole-domain repair candidates as one support
-  gather -- same RNG stream, same effort counters, same walk, fewer
-  interpreter cycles.
+* ``native``: the whole walk as one C call (:mod:`repro.csp.native`),
+  with a byte-exact replica of the ``random.Random`` stream -- same
+  RNG stream, same effort counters, same walk.
 
 :meth:`MinConflictsSolver.solve_batch` runs one chain per seed through
-the shared kernel; on the numpy engine the chains advance in lockstep
-as a single vectorized batch (the restart-portfolio form the service
-uses).
+the shared kernel (the restart-portfolio form the service uses).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from repro.csp.stats import SolverResult, SolverStats, Stopwatch
 from repro.csp.vectorized import (
     ENGINE_AUTO,
     ENGINE_NATIVE,
-    ENGINE_NUMPY,
     batch_min_conflicts,
     resolve_engine,
 )
@@ -91,7 +86,7 @@ class MinConflictsSolver:
             if self._deadline_seconds is not None
             else None
         )
-        if engine in (ENGINE_NUMPY, ENGINE_NATIVE):
+        if engine == ENGINE_NATIVE:
             return batch_min_conflicts(
                 kernel,
                 [self._seed],
@@ -126,8 +121,7 @@ class MinConflictsSolver:
         """One independent chain per seed, sharing this solver's budgets.
 
         Chain ``k`` is byte-identical to
-        ``MinConflictsSolver(seed=seeds[k], ...).solve(network)``; the
-        numpy engine steps all chains in lockstep (see
+        ``MinConflictsSolver(seed=seeds[k], ...).solve(network)`` (see
         :func:`repro.csp.vectorized.batch_min_conflicts`).
         """
         return batch_min_conflicts(

@@ -16,8 +16,7 @@ key, so an old ``.so`` is never loaded by mistake, and a corrupt or
 ABI-incompatible cached file is deleted and recompiled once instead of
 crashing the process.
 
-Nothing here imports numpy -- the native tier works on numpy-free
-hosts (ctypes passes plain ``array`` buffers).
+Nothing here imports numpy: ctypes passes plain ``array`` buffers.
 """
 
 from __future__ import annotations

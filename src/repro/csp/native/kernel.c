@@ -18,7 +18,7 @@
  * accounting, same RNG stream (a byte-exact reimplementation of
  * CPython's MT19937 seeding and _randbelow rejection sampling) -- so
  * solutions, effort counters and random walks are indistinguishable
- * from the bitset and numpy engines.
+ * from the bitset engine.
  */
 
 #include <stdint.h>
@@ -570,7 +570,7 @@ REPRO_EXPORT int32_t repro_mc_solve(
 
 /* Most-constraining variable: the adjacency matvec as a CSR walk.
  * key = (vcount - future_degree) * scale + static_key, first minimum
- * over unassigned variables -- exactly MaskedLexArgmin's encoding. */
+ * over unassigned variables (see NativeOrderings for the encoding). */
 REPRO_EXPORT int64_t repro_mcv_select(
     int64_t vcount, const int64_t *arc_base, const int64_t *arc_dst,
     const int64_t *unassigned, const int64_t *static_key, int64_t scale) {
@@ -592,7 +592,7 @@ REPRO_EXPORT int64_t repro_mcv_select(
 
 /* Least-constraining value: sum static support popcounts over live
  * neighbors, order values by descending total with index-ascending
- * ties (numpy's stable argsort of -totals).  Returns the checks
+ * ties (a stable sort of -totals).  Returns the checks
  * charge: dom[variable] * sum of live neighbors' domain sizes. */
 REPRO_EXPORT int64_t repro_lcv_order(
     int64_t variable, int64_t max_domain, const int64_t *dom,

@@ -1,6 +1,6 @@
 """Space-splitting parallel search: clone/commit subtree racing.
 
-Every speed tier so far (compiled bitsets, the numpy kernel, the
+Every speed tier so far (compiled bitsets, the native kernel, the
 resident daemon) parallelizes *across* requests or portfolio schemes;
 a single hard network still searches on one core.  This module splits
 the search space of one instance:
@@ -13,9 +13,7 @@ the search space of one instance:
 2. farm the resulting subtrees to a warm ``ProcessPoolExecutor``.
    Only the per-subtree domain deltas and the decision prefix go over
    the wire; the kernel itself ships at most once per worker (workers
-   keep a small keyed cache, and numpy planes attach zero-copy through
-   the PR-5 ``multiprocessing.shared_memory`` path when a shared key
-   is provided);
+   keep a small keyed cache);
 3. balance load with a **double-ended work-stealing deque per
    worker**: each lane consumes its own lex-earliest subtree from the
    front, and an idle lane steals the deepest-split (lex-latest)
@@ -66,13 +64,7 @@ from repro.csp.compiled import CompiledNetwork, as_compiled, iter_bits
 from repro.csp.engine import record_solver_effort
 from repro.csp.network import ConstraintNetwork
 from repro.csp.stats import SolverResult, SolverStats, Stopwatch
-from repro.csp.vectorized import (
-    ENGINE_AUTO,
-    ENGINE_NUMPY,
-    attach_shared,
-    install_vectorized,
-    resolve_engine,
-)
+from repro.csp.vectorized import ENGINE_AUTO, resolve_engine
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -317,15 +309,6 @@ def _worker_kernel(task: dict) -> CompiledNetwork | None:
         kernel = task.get("kernel")
     if kernel is None:
         return None
-    shared_key = task.get("shared_key")
-    if (
-        shared_key
-        and getattr(kernel, "_vector_cache", None) is None
-        and resolve_engine(ENGINE_AUTO, kernel) == ENGINE_NUMPY
-    ):
-        attached = attach_shared(shared_key)
-        if attached is not None:
-            install_vectorized(kernel, attached)
     _install_worker_kernel(key, kernel)
     return kernel
 
@@ -510,18 +493,30 @@ class _InlineFuture:
         return self._payload
 
 
+def fork_context():
+    """The ``fork`` multiprocessing context when the platform has it.
+
+    Forked workers start cheaply and inherit the parent's in-process
+    state: warm caches (a compiled kernel, the loaded native library)
+    and scheme registrations such as the portfolio's
+    ``EXTRA_SCHEMES``.  Platforms without ``fork`` get the default
+    context.  The split-search pool, the portfolio race and the daemon
+    pool all start from here.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 class _PoolRunner:
     """Warm ``ProcessPoolExecutor`` wrapper (fork context when available)."""
 
     uses_processes = True
 
     def __init__(self, workers: int):
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
         self.workers = workers
-        self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        self._pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=fork_context()
+        )
 
     def submit(self, task: dict):
         return self._pool.submit(_subtree_worker, task)
@@ -562,8 +557,6 @@ class SplitSearchSolver:
             race child cannot spawn grandchildren).
         subtrees_per_worker: frontier sizing target.
         serial_budget: node budget of the ``auto`` serial attempt.
-        shared_key: optional shared-memory kernel key; workers attach
-            the numpy planes zero-copy instead of rebuilding them.
         steal_rng: optional ``random.Random``; when given, an idle
             lane steals from a *random* non-empty peer instead of the
             busiest one (property tests randomize schedules with it).
@@ -580,7 +573,6 @@ class SplitSearchSolver:
         workers: int | None = None,
         subtrees_per_worker: int = DEFAULT_SUBTREES_PER_WORKER,
         serial_budget: int = DEFAULT_SERIAL_BUDGET_NODES,
-        shared_key: str | None = None,
         steal_rng=None,
         runner_factory=None,
     ):
@@ -594,7 +586,6 @@ class SplitSearchSolver:
         self._workers = workers
         self._subtrees_per_worker = subtrees_per_worker
         self._serial_budget = serial_budget
-        self.shared_key = shared_key
         self._steal_rng = steal_rng
         self._runner_factory = runner_factory
         self._deadline_seconds: float | None = None
@@ -806,7 +797,6 @@ class SplitSearchSolver:
         task = {
             "mode": "search",
             "kernel_key": self._kernel_key_for(kernel),
-            "shared_key": self.shared_key,
             "engine": engine,
             "prefix": subtree.prefix,
             "values": subtree.values,
@@ -1076,7 +1066,6 @@ def enumerate_solutions_parallel(
                 "mode": "enum",
                 "kernel_key": key,
                 "kernel": kernel if first_subtree else None,
-                "shared_key": None,
                 "prefix": prefix,
                 "values": tuple(values),
                 "deltas": tuple(

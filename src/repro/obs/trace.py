@@ -1,7 +1,7 @@
 """Lightweight request tracing: span trees over ``perf_counter_ns``.
 
 The serving stack spans five layers (authoring -> compiled bitset ->
-numpy kernel -> batch simulator -> resident daemon); a flat counter
+native kernel -> batch simulator -> resident daemon); a flat counter
 dict cannot answer "where did this request's 40 ms go?".  A *span* is
 one named, timed phase with attributes and child spans; a request's
 span tree is its latency budget, phase by phase.

@@ -3,9 +3,8 @@
 One :class:`~repro.service.daemon.SolverDaemon` on one host is the
 warm-path ceiling; this module runs N of them as *members* behind
 consistent-hash routing of request fingerprints, so each
-fingerprint's result-cache entry, network memo, and shared-memory
-kernel segment lives on exactly one owner and warm-path reuse
-survives scale-out:
+fingerprint's result-cache entry and network memo live on exactly
+one owner and warm-path reuse survives scale-out:
 
 * :class:`ClusterRouter` is an asyncio front end speaking the same
   JSON-lines wire protocol as the daemon (:mod:`repro.service.stream`)

@@ -148,6 +148,21 @@ class TestPickling:
         assert clone.supports == kernel.supports
         assert clone.canonical_form() == kernel.canonical_form()
 
+    def test_pickle_excludes_the_native_lowering(self):
+        from repro.csp.native import build as native_build
+        from repro.csp.native.ops import as_native
+
+        if not native_build.usable():
+            pytest.skip("native kernel unavailable (no C compiler, no cache)")
+        kernel = compile_network(
+            random_network(5, 4, density=0.9, tightness=0.4, seed=11)
+        )
+        as_native(kernel)
+        assert getattr(kernel, "_native_cache", None) is not None
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert getattr(clone, "_native_cache", None) is None
+        assert clone.supports == kernel.supports
+
 
 class TestIterBits:
     @pytest.mark.parametrize(
@@ -156,3 +171,10 @@ class TestIterBits:
     )
     def test_ascending_positions(self, mask, expected):
         assert list(iter_bits(mask)) == expected
+
+    def test_wide_sparse_masks(self):
+        positions = [0, 1, 62, 63, 64, 65, 126, 200, 1000, 4095]
+        mask = sum(1 << p for p in positions)
+        assert list(iter_bits(mask)) == positions
+        dense = (1 << 300) - 1
+        assert list(iter_bits(dense)) == list(range(300))

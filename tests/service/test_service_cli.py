@@ -88,6 +88,16 @@ class TestCli:
         assert result.returncode != 0
         assert "unknown portfolio schemes" in result.stderr
 
+    def test_numpy_engine_is_refused(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--engine", "numpy"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert "invalid choice: 'numpy'" in result.stderr
+
 
 class TestBatchApi:
     def test_batch_shares_one_cache(self):
