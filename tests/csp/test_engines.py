@@ -87,14 +87,22 @@ def test_resolve_engine_explicit_choices(kernel):
         assert resolve_engine("native", kernel) == "native"
 
 
-def test_resolve_engine_auto_uses_native_threshold(
+def test_resolve_engine_auto_uses_size_threshold(
     tiny_kernel, table1_kernel, monkeypatch
 ):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert support_cells(tiny_kernel) < vectorized.NATIVE_MIN_SUPPORT_CELLS
-    assert support_cells(table1_kernel) >= vectorized.NATIVE_MIN_SUPPORT_CELLS
     monkeypatch.setattr(vectorized, "native_available", lambda: True)
+    assert support_cells(tiny_kernel) < vectorized.NATIVE_MIN_SUPPORT_CELLS
     assert resolve_engine("auto", tiny_kernel) == "bitset"
+    assert support_cells(table1_kernel) >= vectorized.NATIVE_MIN_SUPPORT_CELLS
+    assert resolve_engine("auto", table1_kernel) == "native"
+
+
+def test_resolve_engine_auto_prefers_native(
+    tiny_kernel, table1_kernel, monkeypatch
+):
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    monkeypatch.setattr(vectorized, "native_available", lambda: True)
     assert resolve_engine("auto", table1_kernel) == "native"
     # Without a usable native kernel every size stays on bitsets.
     monkeypatch.setattr(vectorized, "native_available", lambda: False)
