@@ -11,7 +11,8 @@ The mix per network is the propagation-dominated serving work one
 request fans out into:
 
 * an AC-3 preprocessing pass (whole-domain revisions);
-* an enhanced-scheme solve (MCV/LCV orderings);
+* an enhanced-scheme solve (the whole MCV/LCV, graph-backjumping
+  search, one native call);
 * a forward-checking solve (MRV selection);
 * a 16-seed min-conflicts restart portfolio with a fixed step budget,
   the dominant share by design -- conflict scanning is the paper

@@ -31,6 +31,7 @@ compiled form to every racing worker process.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro.csp.network import ConstraintNetwork
@@ -124,6 +125,18 @@ class CompiledNetwork:
 
     def domain_size(self, variable: int) -> int:
         return len(self.domains[variable])
+
+    @cached_property
+    def support_cells(self) -> int:
+        """Directed support cells: ``|D_i| * |D_j|`` over directed pairs.
+
+        Computed on first use and kept (pickles included): engine
+        resolution reads it on every solver call.
+        """
+        return sum(
+            len(masks) * self.domain_size(j)
+            for (_, j), masks in self.supports.items()
+        )
 
     # -- the kernel operations -------------------------------------------
 

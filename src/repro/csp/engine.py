@@ -26,6 +26,10 @@ bitmask.  Passing an authoring :class:`ConstraintNetwork` compiles it
 the solution boundary.  The RNG stream and the value/variable orders
 are identical to the historical object-based implementation, so seeded
 runs reproduce the same searches.
+
+Under the ``native`` engine the whole search runs as one C call
+(``repro_bt_search`` in :mod:`repro.csp.native`); the Python recursion
+below is the bitset reference it is held byte-identical to.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.csp.compiled import CompiledNetwork, as_compiled
 from repro.csp.network import ConstraintNetwork
@@ -42,9 +45,6 @@ from repro.csp.vectorized import ENGINE_AUTO, ENGINE_NATIVE, ENGINES, resolve_en
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import EFFORT_BUCKETS
-
-if TYPE_CHECKING:
-    from repro.csp.native.ops import NativeOrderings
 
 
 def record_solver_effort(engine: str, scheme: str, stats: SolverStats) -> None:
@@ -95,13 +95,11 @@ class EngineConfig:
         max_nodes: optional node budget; when exhausted the solver
             stops and reports an *incomplete* result (None assignment
             with ``complete=False``) instead of running unboundedly.
-        engine: ``bitset``, ``native`` or ``auto`` -- which propagation
-            kernel evaluates the ordering heuristics.  The search, its
-            RNG stream and every effort counter are identical either
-            way; the native engine computes the most-constraining and
-            least-constraining scores in C.  Random orderings have no
-            heuristic mathematics, so the base scheme runs the same
-            code under both engines.
+        engine: ``bitset``, ``native`` or ``auto`` -- which kernel
+            runs the search.  The search, its RNG stream and every
+            effort counter are identical either way; the native engine
+            runs the whole search -- orderings, checks and jumps, for
+            the base, enhanced and CBJ schemes alike -- as one C call.
     """
 
     variable_ordering: bool = False
@@ -153,41 +151,49 @@ class SearchEngine:
     def solve(self, network: ConstraintNetwork | CompiledNetwork) -> SolverResult:
         """Run the search to the first solution or to an UNSAT proof."""
         kernel = as_compiled(network)
+        engine = resolve_engine(self._config.engine, kernel)
         stats = SolverStats()
-        rng = random.Random(self._config.seed)
         self._deadline_at = (
             time.monotonic() + self._deadline_seconds
             if self._deadline_seconds is not None
             else None
         )
         complete = True
-        vec = None
-        if self._config.variable_ordering or self._config.value_ordering:
-            if resolve_engine(self._config.engine, kernel) == ENGINE_NATIVE:
-                # Heuristics evaluated by the C kernel with the same
-                # keys as `_select_variable` / `_order_values`.
-                from repro.csp.native.ops import NativeOrderings
-
-                vec = NativeOrderings(kernel)
         with obs_trace.span("csp_search", jump_mode=self._config.jump_mode) as sp:
             with Stopwatch(stats):
-                values: list[int | None] = [None] * kernel.variable_count
-                depth_of = [0] * kernel.variable_count
-                try:
-                    solution, _, _ = self._search(
-                        kernel, values, 0, depth_of, rng, stats, vec
-                    )
-                except _NodeBudgetExhausted:
-                    solution = None
-                    complete = False
+                if engine == ENGINE_NATIVE:
+                    solution, complete = self._solve_native(kernel, stats)
+                else:
+                    values: list[int | None] = [None] * kernel.variable_count
+                    depth_of = [0] * kernel.variable_count
+                    rng = random.Random(self._config.seed)
+                    try:
+                        solution, _, _ = self._search(
+                            kernel, values, 0, depth_of, rng, stats
+                        )
+                    except _NodeBudgetExhausted:
+                        solution = None
+                        complete = False
         sp.set_attribute("nodes", stats.nodes)
         if obs_metrics.enabled():
-            record_solver_effort(
-                resolve_engine(self._config.engine, kernel),
-                self._config.jump_mode,
-                stats,
-            )
+            record_solver_effort(engine, self._config.jump_mode, stats)
         return SolverResult(solution, stats, complete=complete)
+
+    def _solve_native(
+        self, kernel: CompiledNetwork, stats: SolverStats
+    ) -> tuple[dict | None, bool]:
+        """The whole search as one C call; returns (solution, complete)."""
+        from repro.csp.native import ops as native_ops
+
+        status, values, nodes, backtracks, backjumps, checks = native_ops.bt_search(
+            kernel, self._config, self._deadline_at
+        )
+        stats.nodes = nodes
+        stats.backtracks = backtracks
+        stats.backjumps = backjumps
+        stats.consistency_checks = checks
+        solution = kernel.to_named(values) if values is not None else None
+        return solution, status != native_ops.SEARCH_CUTOFF
 
     # -- search ---------------------------------------------------------
 
@@ -199,15 +205,14 @@ class SearchEngine:
         depth_of: list[int],
         rng: random.Random,
         stats: SolverStats,
-        vec: "NativeOrderings | None",
     ) -> tuple[dict | None, int, set[int]]:
         if depth == kernel.variable_count:
             return kernel.to_named(values), depth, set()
 
-        variable = self._select_variable(kernel, values, rng, vec)
+        variable = self._select_variable(kernel, values, rng)
         conflict_union: set[int] = set()
         budget = self._config.max_nodes
-        for value in self._order_values(kernel, variable, values, rng, stats, vec):
+        for value in self._order_values(kernel, variable, values, rng, stats):
             stats.nodes += 1
             if budget is not None and stats.nodes > budget:
                 raise _NodeBudgetExhausted()
@@ -225,16 +230,12 @@ class SearchEngine:
                 continue
             values[variable] = value
             depth_of[variable] = depth
-            if vec is not None:
-                vec.unassigned[variable] = 0
             solution, jump, child_conflicts = self._search(
-                kernel, values, depth + 1, depth_of, rng, stats, vec
+                kernel, values, depth + 1, depth_of, rng, stats
             )
             if solution is not None:
                 return solution, jump, child_conflicts
             values[variable] = None
-            if vec is not None:
-                vec.unassigned[variable] = 1
             if jump < depth:
                 # We are being jumped over: unwind without retrying.
                 return None, jump, child_conflicts
@@ -261,10 +262,7 @@ class SearchEngine:
         kernel: CompiledNetwork,
         values: list[int | None],
         rng: random.Random,
-        vec: "NativeOrderings | None" = None,
     ) -> int:
-        if self._config.variable_ordering and vec is not None:
-            return vec.select_most_constraining()
         unassigned = [i for i in range(kernel.variable_count) if values[i] is None]
         if not self._config.variable_ordering:
             return rng.choice(unassigned)
@@ -296,10 +294,7 @@ class SearchEngine:
         values: list[int | None],
         rng: random.Random,
         stats: SolverStats,
-        vec: "NativeOrderings | None" = None,
     ) -> list[int]:
-        if self._config.value_ordering and vec is not None:
-            return vec.order_least_constraining(variable, stats)
         order = list(range(kernel.domain_size(variable)))
         if not self._config.value_ordering:
             rng.shuffle(order)

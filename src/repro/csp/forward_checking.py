@@ -134,10 +134,10 @@ class ForwardCheckingSolver:
         stats.backtracks = backtracks
         stats.consistency_checks = checks
         assignment = (
-            kernel.to_named(solution) if status == native_ops.FC_FOUND else None
+            kernel.to_named(solution) if status == native_ops.SEARCH_FOUND else None
         )
         return SolverResult(
-            assignment, stats, complete=status != native_ops.FC_CUTOFF
+            assignment, stats, complete=status != native_ops.SEARCH_CUTOFF
         )
 
     def _search(

@@ -4,7 +4,8 @@ Thin Python orchestration over one self-contained C file
 (``kernel.c``) holding the solver inner loops: whole-run AC-3, the
 complete forward-checking search, the complete min-conflicts walk
 (with a byte-exact MT19937 replication of CPython's ``random.Random``
-stream), and the enhanced scheme's variable/value ordering heuristics.
+stream), and the complete base/enhanced/conflict-directed backjumping
+search of :class:`~repro.csp.engine.SearchEngine`.
 Compiled on first use with the host C compiler into a source-hash
 keyed ``.so`` (:mod:`repro.csp.native.build`) and loaded via ctypes --
 no new Python dependencies, and no numpy requirement either.

@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 #: Bumped when the C entry-point signatures change; the loader checks
 #: the compiled library's ``repro_abi_version`` and recompiles on
 #: mismatch (e.g. a stale cache dir pinned via REPRO_NATIVE_CACHE_DIR).
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Environment override for the compiled-kernel cache directory.
 CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"

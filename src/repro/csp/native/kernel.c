@@ -26,7 +26,7 @@
 #include <string.h>
 #include <time.h>
 
-#define REPRO_ABI 1
+#define REPRO_ABI 2
 
 #if defined(_WIN32)
 #define REPRO_EXPORT __declspec(dllexport)
@@ -566,62 +566,270 @@ REPRO_EXPORT int32_t repro_mc_solve(
     return solved;
 }
 
-/* -- enhanced-scheme ordering helpers ---------------------------------- */
+/* -- base / enhanced / conflict-directed search ------------------------ */
 
-/* Most-constraining variable: the adjacency matvec as a CSR walk.
- * key = (vcount - future_degree) * scale + static_key, first minimum
- * over unassigned variables (see NativeOrderings for the encoding). */
-REPRO_EXPORT int64_t repro_mcv_select(
-    int64_t vcount, const int64_t *arc_base, const int64_t *arc_dst,
-    const int64_t *unassigned, const int64_t *static_key, int64_t scale) {
-    int64_t best = -1, best_k = 0;
-    for (int64_t v = 0; v < vcount; v++) {
-        int64_t fd = 0, key;
-        if (!unassigned[v])
+/* Jump rules, in the order of ops._JUMP_MODES. */
+#define BT_CHRONOLOGICAL 0
+#define BT_GRAPH 1
+#define BT_CONFLICT 2
+
+typedef struct {
+    int64_t vcount;
+    int64_t nwords;
+    int64_t cwords; /* words per conflict set: ceil(vcount / 64) */
+    int64_t max_domain;
+    const int64_t *dom;
+    const int64_t *degrees;
+    const int64_t *rank;
+    const int64_t *arc_base;
+    const int64_t *arc_dst;
+    const int64_t *sup_off;
+    const uint64_t *sup;
+    const int64_t *lcv;
+    int var_order, val_order, jump_mode;
+    mt_state rng;
+    int64_t max_nodes; /* < 0: unbounded */
+    double deadline;   /* < 0: none */
+    int64_t *values;   /* -1: unassigned */
+    int64_t *depth_of;
+    int64_t *order;    /* per-depth value orders, max_domain apart */
+    int64_t *totals;   /* least-constraining-value scratch */
+    uint64_t *conf;    /* per-depth conflict sets (bitsets of depths) */
+    const uint64_t *ret; /* conflict set handed up by the last dead end */
+    int64_t jump;
+    int64_t nodes, backtracks, backjumps, checks;
+    int cutoff;
+} bt_ctx;
+
+/* SearchEngine._select_variable: rng.choice over the unassigned
+ * variables in index order, or the most-constraining key
+ * (-future_degree, -degree, dom, rank) -- rank is unique, so the first
+ * strict minimum is the reference min. */
+static int64_t bt_select(bt_ctx *c, int64_t depth) {
+    int64_t best = -1, best_fd = 0, best_deg = 0, best_dom = 0, best_rank = 0;
+    if (!c->var_order) {
+        int64_t pick = mt_randbelow(&c->rng, c->vcount - depth);
+        for (int64_t v = 0; v < c->vcount; v++)
+            if (c->values[v] < 0 && pick-- == 0)
+                return v;
+    }
+    for (int64_t v = 0; v < c->vcount; v++) {
+        int64_t fd = 0, deg, dm, rk;
+        if (c->values[v] >= 0)
             continue;
-        for (int64_t a = arc_base[v]; a < arc_base[v + 1]; a++)
-            fd += unassigned[arc_dst[a]];
-        key = (vcount - fd) * scale + static_key[v];
-        if (best < 0 || key < best_k) {
+        for (int64_t a = c->arc_base[v]; a < c->arc_base[v + 1]; a++)
+            fd += c->values[c->arc_dst[a]] < 0;
+        deg = c->degrees[v];
+        dm = c->dom[v];
+        rk = c->rank[v];
+        if (best < 0 || fd > best_fd ||
+            (fd == best_fd &&
+             (deg > best_deg ||
+              (deg == best_deg &&
+               (dm < best_dom || (dm == best_dom && rk < best_rank)))))) {
             best = v;
-            best_k = key;
+            best_fd = fd;
+            best_deg = deg;
+            best_dom = dm;
+            best_rank = rk;
         }
     }
     return best;
 }
 
-/* Least-constraining value: sum static support popcounts over live
- * neighbors, order values by descending total with index-ascending
- * ties (a stable sort of -totals).  Returns the checks
- * charge: dom[variable] * sum of live neighbors' domain sizes. */
-REPRO_EXPORT int64_t repro_lcv_order(
-    int64_t variable, int64_t max_domain, const int64_t *dom,
-    const int64_t *arc_base, const int64_t *arc_dst, const int64_t *lcv,
-    const int64_t *unassigned, int64_t *order_out) {
-    int64_t d = dom[variable];
+/* SearchEngine._order_values: rng.shuffle of 0..d-1, or the
+ * least-constraining order -- descending support totals over the live
+ * neighbors, index-ascending ties (a stable sort), charged
+ * d * sum(dom(live neighbor)) checks. */
+static void bt_order(bt_ctx *c, int64_t variable, int64_t *order) {
+    int64_t d = c->dom[variable];
     int64_t live_dom_sum = 0;
-    int64_t *totals = (int64_t *)malloc((size_t)(d + 1) * sizeof(int64_t));
-    if (!totals)
-        return -1;
+    int64_t *totals = c->totals;
+    if (!c->val_order) {
+        for (int64_t i = 0; i < d; i++)
+            order[i] = i;
+        for (int64_t i = d - 1; i > 0; i--) {
+            int64_t j = mt_randbelow(&c->rng, i + 1);
+            int64_t t = order[i];
+            order[i] = order[j];
+            order[j] = t;
+        }
+        return;
+    }
     memset(totals, 0, (size_t)d * sizeof(int64_t));
-    for (int64_t a = arc_base[variable]; a < arc_base[variable + 1]; a++) {
+    for (int64_t a = c->arc_base[variable]; a < c->arc_base[variable + 1];
+         a++) {
         const int64_t *row;
-        if (!unassigned[arc_dst[a]])
+        if (c->values[c->arc_dst[a]] >= 0)
             continue;
-        live_dom_sum += dom[arc_dst[a]];
-        row = lcv + a * max_domain;
+        live_dom_sum += c->dom[c->arc_dst[a]];
+        row = c->lcv + a * c->max_domain;
         for (int64_t value = 0; value < d; value++)
             totals[value] += row[value];
     }
-    /* stable insertion sort on (-total, index) */
     for (int64_t i = 0; i < d; i++) {
         int64_t j = i;
-        while (j > 0 && totals[order_out[j - 1]] < totals[i])
+        while (j > 0 && totals[order[j - 1]] < totals[i])
             j--;
-        memmove(order_out + j + 1, order_out + j,
-                (size_t)(i - j) * sizeof(int64_t));
-        order_out[j] = i;
+        memmove(order + j + 1, order + j, (size_t)(i - j) * sizeof(int64_t));
+        order[j] = i;
     }
-    free(totals);
-    return d * live_dom_sum;
+    c->checks += d * live_dom_sum;
+}
+
+static void bit_set(uint64_t *words, int64_t bit) {
+    words[bit >> 6] |= 1ull << (bit & 63);
+}
+
+/* The highest set bit of a conflict set, -1 when it is empty. */
+static int64_t bit_max(const uint64_t *words, int64_t nwords) {
+    for (int64_t w = nwords - 1; w >= 0; w--)
+        if (words[w])
+            return w * 64 + 63 - __builtin_clzll(words[w]);
+    return -1;
+}
+
+/* SearchEngine._search: 1 when a solution is found; otherwise 0 with
+ * c->jump the depth to resume at and c->ret its conflict set (cutoff
+ * sets c->cutoff and unwinds at once). */
+static int bt_search(bt_ctx *c, int64_t depth) {
+    int64_t nw = c->nwords, cw = c->cwords;
+    int64_t variable, d, jump;
+    int64_t *order;
+    uint64_t *conf;
+    if (depth == c->vcount)
+        return 1;
+    variable = bt_select(c, depth);
+    order = c->order + depth * c->max_domain;
+    bt_order(c, variable, order);
+    conf = c->conf + depth * cw;
+    memset(conf, 0, (size_t)cw * sizeof(uint64_t));
+    d = c->dom[variable];
+    for (int64_t k = 0; k < d; k++) {
+        int64_t value = order[k];
+        int ok = 1;
+        c->nodes++;
+        if (c->max_nodes >= 0 && c->nodes > c->max_nodes) {
+            c->cutoff = 1;
+            return 0;
+        }
+        if (c->deadline >= 0 && (c->nodes & 255) == 0 &&
+            mono_now() >= c->deadline) {
+            c->cutoff = 1;
+            return 0;
+        }
+        /* _check: every instantiated neighbor costs one check, failed
+         * or not, in arc order. */
+        for (int64_t a = c->arc_base[variable]; a < c->arc_base[variable + 1];
+             a++) {
+            int64_t nb = c->arc_dst[a];
+            if (c->values[nb] < 0)
+                continue;
+            c->checks++;
+            if (!bit_test(c->sup + c->sup_off[a] + value * nw, c->values[nb])) {
+                ok = 0;
+                if (c->jump_mode == BT_CONFLICT)
+                    bit_set(conf, c->depth_of[nb]);
+            }
+        }
+        if (!ok) {
+            if (c->jump_mode == BT_GRAPH)
+                for (int64_t a = c->arc_base[variable];
+                     a < c->arc_base[variable + 1]; a++)
+                    if (c->values[c->arc_dst[a]] >= 0)
+                        bit_set(conf, c->depth_of[c->arc_dst[a]]);
+            continue;
+        }
+        c->values[variable] = value;
+        c->depth_of[variable] = depth;
+        if (bt_search(c, depth + 1))
+            return 1;
+        if (c->cutoff)
+            return 0;
+        c->values[variable] = -1;
+        if (c->jump < depth)
+            return 0; /* jumped over: hand the child's set up unchanged */
+        if (c->jump_mode != BT_CHRONOLOGICAL)
+            for (int64_t w = 0; w < cw; w++)
+                conf[w] |= c->ret[w];
+    }
+    if (c->jump_mode == BT_CHRONOLOGICAL) {
+        c->backtracks++;
+        c->jump = depth - 1;
+        return 0;
+    }
+    jump = bit_max(conf, cw);
+    if (jump < depth - 1)
+        c->backjumps++;
+    else
+        c->backtracks++;
+    if (jump >= 0)
+        conf[jump >> 6] &= ~(1ull << (jump & 63));
+    c->jump = jump;
+    c->ret = conf;
+    return 0;
+}
+
+/* The whole SearchEngine search (base, enhanced and CBJ schemes) with
+ * the random orderings drawn from random.Random(seed)'s stream.
+ * Returns 1 solution-found (values filled in), 0 exhausted, 2 cutoff
+ * (node budget or deadline).  out = {nodes, backtracks, backjumps,
+ * checks}. */
+REPRO_EXPORT int32_t repro_bt_search(
+    int64_t vcount, int64_t nwords, int64_t max_domain, const int64_t *dom,
+    const int64_t *degrees, const int64_t *rank, const int64_t *arc_base,
+    const int64_t *arc_dst, const int64_t *sup_off, const uint64_t *sup,
+    const int64_t *lcv, int64_t var_order, int64_t val_order,
+    int64_t jump_mode, const uint32_t *seed_key, int64_t key_len,
+    int64_t max_nodes, double deadline, int64_t *values, int64_t *out) {
+    bt_ctx c;
+    int found;
+    memset(&c, 0, sizeof(c));
+    c.vcount = vcount;
+    c.nwords = nwords;
+    c.cwords = (vcount + 63) / 64;
+    c.max_domain = max_domain;
+    c.dom = dom;
+    c.degrees = degrees;
+    c.rank = rank;
+    c.arc_base = arc_base;
+    c.arc_dst = arc_dst;
+    c.sup_off = sup_off;
+    c.sup = sup;
+    c.lcv = lcv;
+    c.var_order = (int)var_order;
+    c.val_order = (int)val_order;
+    c.jump_mode = (int)jump_mode;
+    c.max_nodes = max_nodes;
+    c.deadline = deadline;
+    c.values = values;
+    c.depth_of = (int64_t *)malloc((size_t)(vcount + 1) * sizeof(int64_t));
+    c.order = (int64_t *)malloc((size_t)(vcount * max_domain + 1) *
+                                sizeof(int64_t));
+    c.totals = (int64_t *)malloc((size_t)(max_domain + 1) * sizeof(int64_t));
+    c.conf = (uint64_t *)malloc((size_t)(vcount * c.cwords + 1) *
+                                sizeof(uint64_t));
+    if (!c.depth_of || !c.order || !c.totals || !c.conf) {
+        free(c.depth_of);
+        free(c.order);
+        free(c.totals);
+        free(c.conf);
+        out[0] = out[1] = out[2] = out[3] = 0;
+        return -1;
+    }
+    for (int64_t v = 0; v < vcount; v++)
+        values[v] = -1;
+    mt_init_by_array(&c.rng, seed_key, (size_t)key_len);
+    found = bt_search(&c, 0);
+    free(c.depth_of);
+    free(c.order);
+    free(c.totals);
+    free(c.conf);
+    out[0] = c.nodes;
+    out[1] = c.backtracks;
+    out[2] = c.backjumps;
+    out[3] = c.checks;
+    if (c.cutoff)
+        return 2;
+    return found ? 1 : 0;
 }

@@ -22,7 +22,9 @@ Layout contract shared with kernel.c:
   supported destination values (identical bit layout to the compiled
   kernel's int masks);
 * ``arc_rev[a]`` is the opposite-orientation arc's id, ``seed_arcs``
-  the AC-3 seeding order (both orientations of every authored pair).
+  the AC-3 seeding order (both orientations of every authored pair);
+* ``lcv[a * max_domain + value]`` is the popcount of arc ``a``'s
+  support row ``value`` (the least-constraining-value scores).
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ def _prototype(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_mc_solve.argtypes = [
         i64, i64, p, p, p, p, p, p, i64, i64, i64, f64, p, p,
     ]
-    lib.repro_mcv_select.restype = i64
-    lib.repro_mcv_select.argtypes = [i64, p, p, p, p, i64]
-    lib.repro_lcv_order.restype = i64
-    lib.repro_lcv_order.argtypes = [i64, i64, p, p, p, p, p, p]
+    lib.repro_bt_search.restype = ctypes.c_int32
+    lib.repro_bt_search.argtypes = [
+        i64, i64, i64, p, p, p, p, p, p, p, p, i64, i64, i64, p, i64, i64,
+        f64, p, p,
+    ]
     lib._repro_prototyped = True
     return lib
 
@@ -75,8 +78,6 @@ class NativeKernel:
         self.count = count
         self.max_domain = max_domain
         self.nwords = max(1, (max_domain + 63) // 64)
-        self.dom_list = doms
-        self.degree_list = [len(kernel.neighbors[i]) for i in range(count)]
 
         arc_src: list[int] = []
         arc_dst: list[int] = []
@@ -114,7 +115,7 @@ class NativeKernel:
                     seed_arcs.append(a)
 
         self.dom = array("q", doms)
-        self.degrees = array("q", self.degree_list)
+        self.degrees = array("q", [len(kernel.neighbors[i]) for i in range(count)])
         self.rank = array("q", kernel.name_rank)
         self.arc_base = array("q", arc_base)
         self.arc_src = array("q", arc_src)
@@ -210,10 +211,10 @@ def ac3(kernel: CompiledNetwork):
     return bool(status), nk.words_to_masks(masks), out[0], out[1]
 
 
-#: repro_fc_search outcome codes.
-FC_EXHAUSTED = 0
-FC_FOUND = 1
-FC_CUTOFF = 2
+#: repro_fc_search / repro_bt_search outcome codes.
+SEARCH_EXHAUSTED = 0
+SEARCH_FOUND = 1
+SEARCH_CUTOFF = 2
 
 
 def fc_search(
@@ -227,7 +228,7 @@ def fc_search(
     """Whole forward-checking search from a (values, domains) snapshot.
 
     Returns ``(status, values, nodes, backtracks, checks)`` where
-    ``status`` is one of the ``FC_*`` codes and ``values`` holds the
+    ``status`` is one of the ``SEARCH_*`` codes and ``values`` holds the
     solution indices when found (None otherwise).
     """
     nk = as_native(kernel)
@@ -253,8 +254,51 @@ def fc_search(
     )
     if status < 0:  # pragma: no cover - allocation failure
         raise MemoryError("native forward checking could not allocate")
-    solution = vals.tolist() if status == FC_FOUND else None
+    solution = vals.tolist() if status == SEARCH_FOUND else None
     return status, solution, out[0], out[1], out[2]
+
+
+#: SearchEngine jump rules, in kernel.c's BT_* code order.
+_JUMP_MODES = ("chronological", "graph", "conflict")
+
+
+def bt_search(kernel: CompiledNetwork, config, deadline_at: float | None):
+    """The whole base/enhanced/CBJ search of one ``EngineConfig``.
+
+    Returns ``(status, values, nodes, backtracks, backjumps, checks)``
+    where ``status`` is one of the ``SEARCH_*`` codes and ``values``
+    holds the solution indices when found (None otherwise).
+    """
+    nk = as_native(kernel)
+    vals = array("q", [-1] * nk.count)
+    out = array("q", [0, 0, 0, 0])
+    key = _seed_key(config.seed)
+    status = nk.lib.repro_bt_search(
+        nk.count,
+        nk.nwords,
+        nk.max_domain,
+        _addr(nk.dom),
+        _addr(nk.degrees),
+        _addr(nk.rank),
+        _addr(nk.arc_base),
+        _addr(nk.arc_dst),
+        _addr(nk.sup_off),
+        _addr(nk.sup),
+        _addr(nk.lcv),
+        config.variable_ordering,
+        config.value_ordering,
+        _JUMP_MODES.index(config.jump_mode),
+        ctypes.addressof(key),
+        len(key),
+        -1 if config.max_nodes is None else config.max_nodes,
+        _NO_DEADLINE if deadline_at is None else deadline_at,
+        _addr(vals),
+        _addr(out),
+    )
+    if status < 0:  # pragma: no cover - allocation failure
+        raise MemoryError("native backtracking search could not allocate")
+    solution = vals.tolist() if status == SEARCH_FOUND else None
+    return status, solution, out[0], out[1], out[2], out[3]
 
 
 def min_conflicts(
@@ -293,68 +337,3 @@ def min_conflicts(
         raise MemoryError("native min-conflicts could not allocate")
     solution = vals.tolist() if status == 1 else None
     return solution, out[0], out[1], out[2]
-
-
-class NativeOrderings:
-    """Per-solve native state for the enhanced ordering heuristics.
-
-    The search loop flips ``unassigned[variable]`` and the two
-    selection calls run as single C walks over the CSR arc tables.
-    The most-constraining key packs the bitset engine's lexicographic
-    ``(-future_degree, -total_degree, domain, rank)`` into one integer
-    -- ``(count - future_degree) * scale + static`` with ``scale``
-    above every static value, and a unique rank digit -- so the first
-    minimum is the reference ``min``, and the chosen variable and
-    value orders (and the checks accounting) match the bitset engine
-    bit for bit.
-    """
-
-    def __init__(self, kernel: CompiledNetwork):
-        nk = as_native(kernel)
-        self.nk = nk
-        count = nk.count
-        self.unassigned = array("q", [1] * count) if count else array("q")
-        # Reference key: (-future_degree, -total_degree, domain, rank);
-        # both negated counts are encoded ascending as (bound - count).
-        static = [
-            ((count - nk.degree_list[v]) * (nk.max_domain + 2) + nk.dom_list[v])
-            * (count + 1)
-            + kernel.name_rank[v]
-            for v in range(count)
-        ]
-        self.static = array("q", static) if count else array("q")
-        self.scale = (max(static) + 1) if static else 1
-
-    def select_most_constraining(self) -> int:
-        nk = self.nk
-        return int(
-            nk.lib.repro_mcv_select(
-                nk.count,
-                _addr(nk.arc_base),
-                _addr(nk.arc_dst),
-                _addr(self.unassigned),
-                _addr(self.static),
-                self.scale,
-            )
-        )
-
-    def order_least_constraining(self, variable: int, stats) -> list[int]:
-        nk = self.nk
-        domain = nk.dom_list[variable]
-        if nk.degree_list[variable] == 0:
-            return list(range(domain))
-        order = array("q", [0] * domain)
-        checks = nk.lib.repro_lcv_order(
-            variable,
-            nk.max_domain,
-            _addr(nk.dom),
-            _addr(nk.arc_base),
-            _addr(nk.arc_dst),
-            _addr(nk.lcv),
-            _addr(self.unassigned),
-            _addr(order),
-        )
-        if checks < 0:  # pragma: no cover - allocation failure
-            raise MemoryError("native value ordering could not allocate")
-        stats.consistency_checks += int(checks)
-        return order.tolist()

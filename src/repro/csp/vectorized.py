@@ -83,11 +83,9 @@ def _degraded(reason: str, message: str, *args) -> None:
 
 
 def support_cells(kernel: CompiledNetwork) -> int:
-    """Directed support cells: ``|D_i| * |D_j|`` over directed pairs."""
-    return sum(
-        len(masks) * kernel.domain_size(j)
-        for (_, j), masks in kernel.supports.items()
-    )
+    """Directed support cells: ``|D_i| * |D_j|`` over directed pairs
+    (memoized on the kernel, see :attr:`CompiledNetwork.support_cells`)."""
+    return kernel.support_cells
 
 
 def resolve_engine(

@@ -35,6 +35,7 @@ import contextlib
 import json
 import logging
 import os
+import signal
 import sys
 import threading
 import time
@@ -1050,6 +1051,19 @@ class SolverDaemon:
                 writer.close()
                 await writer.wait_closed()
 
+    def _stop_on_sigterm(self) -> None:
+        """Make SIGTERM end the serve loop like a ``shutdown`` request,
+        so :meth:`close` still releases the pool and the socket file.
+
+        Installed after :meth:`warm_up`: the forked pool workers keep
+        the default SIGTERM action.  A loop off the main thread cannot
+        take signal handlers; it is left as it was.
+        """
+        with contextlib.suppress(RuntimeError, NotImplementedError):
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, self._shutdown.set
+            )
+
     async def serve_unix(self, socket_path: str) -> None:
         """Listen on a unix socket until a ``shutdown`` request.
 
@@ -1061,6 +1075,7 @@ class SolverDaemon:
         """
         reclaim_stale_socket(socket_path)
         self.warm_up()
+        self._stop_on_sigterm()
         server = await asyncio.start_unix_server(
             self.serve_connection, path=socket_path
         )
@@ -1081,6 +1096,7 @@ class SolverDaemon:
         (cluster members spanning hosts route over TCP; same wire
         protocol, same loop as :meth:`serve_unix`)."""
         self.warm_up()
+        self._stop_on_sigterm()
         server = await asyncio.start_server(
             self.serve_connection, host=host, port=port
         )

@@ -4,9 +4,11 @@ import pickle
 
 import pytest
 
+from repro.bench import BENCHMARK_NAMES, benchmark_build_options, build_benchmark
 from repro.csp.compiled import CompiledNetwork, as_compiled, compile_network, iter_bits
 from repro.csp.network import ConstraintNetwork
 from repro.csp.random_networks import random_network
+from repro.opt.network_builder import build_layout_network
 from tests.csp.test_network import paper_example_network
 
 
@@ -162,6 +164,26 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(kernel))
         assert getattr(clone, "_native_cache", None) is None
         assert clone.supports == kernel.supports
+
+    @pytest.mark.parametrize("name", [*BENCHMARK_NAMES, "random"])
+    def test_support_cells_memo_survives_pickling(self, name):
+        if name == "random":
+            kernel = compile_network(
+                random_network(9, 6, density=0.7, tightness=0.3, seed=5)
+            )
+        else:
+            kernel = build_layout_network(
+                build_benchmark(name), benchmark_build_options()
+            ).kernel()
+        fresh = sum(
+            len(masks) * kernel.domain_size(j)
+            for (_, j), masks in kernel.supports.items()
+        )
+        assert kernel.support_cells == fresh
+        assert "support_cells" in kernel.__dict__  # memoized
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert "support_cells" in clone.__dict__  # travelled in the pickle
+        assert clone.support_cells == fresh
 
 
 class TestIterBits:

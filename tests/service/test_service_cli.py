@@ -99,6 +99,52 @@ class TestCli:
         assert "invalid choice: 'numpy'" in result.stderr
 
 
+def _child_pids(pid: int) -> set[int]:
+    """Live processes whose parent is ``pid`` (empty without /proc)."""
+    children = set()
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.add(int(entry))
+    return children
+
+
+class TestDaemonSignals:
+    def test_sigterm_shuts_the_daemon_down_cleanly(self, tmp_path):
+        """SIGTERM runs the daemon's close(): exit code 0, socket file
+        removed, and no pool worker left running."""
+        import signal
+
+        from repro.service.routing import wait_until_serving
+
+        socket_path = str(tmp_path / "d.sock")
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.service", "--serve",
+                "--socket", socket_path, "--workers", "2", "--no-cache",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            wait_until_serving(socket_path, timeout=60)
+            workers = _child_pids(daemon.pid)
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=10) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+        assert not os.path.exists(socket_path)
+        assert not any(os.path.exists(f"/proc/{pid}") for pid in workers)
+
+
 class TestBatchApi:
     def test_batch_shares_one_cache(self):
         """Duplicate programs in one batch race once; a repeat batch is
